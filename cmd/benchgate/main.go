@@ -2,7 +2,7 @@
 // `go test -bench` output (typically run with -count=5 -benchmem) and
 // compares it against the repository's committed benchmark baselines
 // (BENCH_explore.json, BENCH_prune.json, BENCH_scale.json,
-// BENCH_sweep.json), failing the
+// BENCH_sweep.json, BENCH_dist.json, BENCH_sched.json), failing the
 // build when a machine-independent quantity regresses beyond the
 // tolerance. Baseline files are given positionally or via repeated
 // -baseline flags, interchangeably.
@@ -20,11 +20,12 @@
 //     -count repetitions must stay within -tol of the committed value
 //     (improvements always pass);
 //   - wall-clock *ratios* of paired benchmarks: for every
-//     "<X>Exhaustive"/"<X>BnB" strategy pair and every "<X>/Cold"/"<X>/Warm"
-//     warm-start pair in the baselines, the measured speedup (slow ns/op ÷
-//     fast ns/op, best-of-count) must stay within -tol of the committed
-//     speedup — pruning and warm-start wins are relative, so the ratio is
-//     comparable on any host.
+//     "<X>Exhaustive"/"<X>BnB" strategy pair, every "<X>/Cold"/"<X>/Warm"
+//     warm-start pair, every "<X>/SingleNode"/"<X>/TwoShard" distribution
+//     pair and every "<X>/Reference"/"<X>/Kernel" scheduler pair in the
+//     baselines, the measured speedup (slow ns/op ÷ fast ns/op,
+//     best-of-count) must stay within -tol of the committed speedup —
+//     these wins are relative, so the ratio is comparable on any host.
 //
 // A benchmark named in the baselines but absent from the measured output
 // FAILS the gate with the file that names it: a renamed or deleted
@@ -286,13 +287,15 @@ func evaluate(baseline map[string]benchRecord, source map[string]string, got map
 
 	// Ratio gate: for every baselined slow/fast suffix pair — strategy
 	// pairs ("...Exhaustive" vs "...BnB"), warm-start pairs (".../Cold"
-	// vs ".../Warm") and distribution pairs (".../SingleNode" vs
-	// ".../TwoShard") — the measured speedup (slow ns/op ÷ fast ns/op,
+	// vs ".../Warm"), distribution pairs (".../SingleNode" vs
+	// ".../TwoShard") and scheduler-kernel pairs (".../Reference" vs
+	// ".../Kernel") — the measured speedup (slow ns/op ÷ fast ns/op,
 	// best-of-count) must hold within tolerance.
 	ratioPairs := []struct{ slow, fast, label string }{
 		{"Exhaustive", "BnB", " speedup"},
 		{"Cold", "Warm", " warm speedup"},
 		{"SingleNode", "TwoShard", " shard speedup"},
+		{"Reference", "Kernel", " kernel speedup"},
 	}
 	for _, rp := range ratioPairs {
 		for _, name := range names {

@@ -16,6 +16,7 @@ func repoBaselines(t *testing.T) []string {
 		filepath.Join("..", "..", "BENCH_explore.json"),
 		filepath.Join("..", "..", "BENCH_prune.json"),
 		filepath.Join("..", "..", "BENCH_sweep.json"),
+		filepath.Join("..", "..", "BENCH_sched.json"),
 	}
 	for _, p := range paths {
 		if _, err := os.Stat(p); err != nil {
@@ -34,6 +35,14 @@ func healthyBench() string {
 		ns     float64
 		allocs int
 	}{
+		{"BenchmarkSchedule/Explore/Reference", 12712, 0},
+		{"BenchmarkSchedule/Explore/Kernel", 8590, 0},
+		{"BenchmarkSchedule/ExploreMakespan/Reference", 13898, 0},
+		{"BenchmarkSchedule/ExploreMakespan/Kernel", 7392, 0},
+		{"BenchmarkSchedule/NoC/Reference", 6381, 0},
+		{"BenchmarkSchedule/NoC/Kernel", 5201, 0},
+		{"BenchmarkSchedule/NoCMakespan/Reference", 6918, 0},
+		{"BenchmarkSchedule/NoCMakespan/Kernel", 5155, 0},
 		// OptimizeMPEG2 uses 450 allocs (not the baseline's 448) so its
 		// alloc count is unique in the fixture: the regression tests below
 		// rewrite it by string replacement without touching ExploreMPEG2BnB,
@@ -148,6 +157,38 @@ func TestGateFailsOnWarmRatioCollapse(t *testing.T) {
 	}
 	if strings.Contains(out, "FAIL  SweepWarmVsCold/Warm ") {
 		t.Errorf("wall-clock slowdown tripped the allocation gate:\n%s", out)
+	}
+}
+
+// TestGateFailsOnKernelRatioCollapse: a scheduler kernel that falls back
+// to the reference's speed fails its Reference/Kernel ratio check, and a
+// kernel that starts allocating fails its 0 allocs/op record.
+func TestGateFailsOnKernelRatioCollapse(t *testing.T) {
+	code, out := runGate(t, healthyBench())
+	if code != 0 || !strings.Contains(out, "PASS  Schedule/Explore kernel speedup") {
+		t.Fatalf("healthy kernel pair not checked (exit %d):\n%s", code, out)
+	}
+	var sb strings.Builder
+	for _, line := range strings.Split(healthyBench(), "\n") {
+		if strings.HasPrefix(line, "BenchmarkSchedule/Explore/Kernel") {
+			fields := strings.Fields(line)
+			var ns float64
+			fmt.Sscanf(fields[2], "%f", &ns)
+			fmt.Fprintf(&sb, "%s  \t%s\t  %.0f ns/op\t  %s B/op\t  1 allocs/op\n",
+				fields[0], fields[1], ns*2, fields[4])
+			continue
+		}
+		sb.WriteString(line + "\n")
+	}
+	code, out = runGate(t, sb.String())
+	if code == 0 {
+		t.Fatalf("2x kernel slowdown passed the gate:\n%s", out)
+	}
+	if !strings.Contains(out, "FAIL  Schedule/Explore kernel speedup") {
+		t.Errorf("slowdown not attributed to the kernel speedup check:\n%s", out)
+	}
+	if !strings.Contains(out, "FAIL  Schedule/Explore/Kernel") {
+		t.Errorf("an allocating kernel passed its 0 allocs/op record:\n%s", out)
 	}
 }
 

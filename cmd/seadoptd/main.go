@@ -53,6 +53,18 @@ import (
 	"seadopt/internal/service"
 )
 
+// Connection bounds of the daemon's HTTP server. A client has
+// readHeaderTimeout to finish its request headers — a connection that
+// trickles them or never completes them is closed instead of pinning a
+// goroutine forever — and a keep-alive connection idle for idleTimeout is
+// closed. Bodies and responses are not timed: submission bodies are capped
+// by -max-body-bytes, and an SSE progress stream legitimately stays open
+// for a whole job.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
@@ -176,7 +188,7 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 		handler = mux
 		logger.Info("profiling endpoints enabled", "path", "/debug/pprof/")
 	}
-	hs := &http.Server{Handler: handler}
+	hs := &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	logger.Info("listening", "addr", ln.Addr().String(),
 		"workers", *workers, "cache_entries", *cacheSize, "build", buildinfo.Read().String())
 	if ready != nil {

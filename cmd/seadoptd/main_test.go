@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"net"
 	"net/http"
+	"os"
 	"regexp"
 	"strconv"
 	"sync"
@@ -206,4 +209,54 @@ func TestPprofGatedBehindFlag(t *testing.T) {
 		t.Errorf("-pprof off: /debug/pprof/cmdline = %d, want 404", got)
 	}
 	shutdown()
+}
+
+// TestUnfinishedHeadersConnectionClosed: a client that opens a connection
+// and never finishes its request headers (a slowloris) is disconnected
+// once readHeaderTimeout passes, instead of holding the connection open.
+func TestUnfinishedHeadersConnectionClosed(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	addrCh := make(chan string, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-drain-timeout", "10s"},
+			func(addr string) { addrCh <- addr })
+	}()
+	var addr string
+	select {
+	case addr = <-addrCh:
+	case err := <-done:
+		t.Fatalf("daemon exited before ready: %v", err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("daemon never became ready")
+	}
+	defer func() {
+		cancel()
+		select {
+		case <-done:
+		case <-time.After(time.Minute):
+			t.Fatal("daemon failed to drain and exit")
+		}
+	}()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "POST /v1/jobs HTTP/1.1\r\nHost: seadoptd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// ReadAll returns once the server closes the connection (whether or
+	// not it writes a response first); only our own deadline means open.
+	if _, err := io.ReadAll(conn); errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("connection with unfinished headers still open after %v", time.Since(start))
+	}
+	if el := time.Since(start); el < readHeaderTimeout/2 {
+		t.Fatalf("connection closed after %v, before the %v header timeout", el, readHeaderTimeout)
+	}
 }

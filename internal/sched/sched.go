@@ -171,9 +171,6 @@ type Schedule struct {
 // loops that schedule thousands of mappings should hold a Scheduler (or a
 // metrics.Evaluator) and reuse it.
 func ListSchedule(g *taskgraph.Graph, p *arch.Platform, m Mapping, scaling []int) (*Schedule, error) {
-	if err := m.Validate(g, p.Cores()); err != nil {
-		return nil, err
-	}
 	sc := NewScheduler(g, p)
 	if err := sc.Bind(scaling); err != nil {
 		return nil, err

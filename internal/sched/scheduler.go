@@ -7,57 +7,59 @@ import (
 	"seadopt/internal/taskgraph"
 )
 
-// agendaEvent is one entry of the scheduler's time-ordered agenda: either a
-// task completion or a cross-core token arrival.
-type agendaEvent struct {
-	at     float64
-	seq    int
-	isStop bool             // task completion (vs token arrival)
-	task   taskgraph.TaskID // completing task or token target
-}
-
-// agendaLess is the agenda's strict total order: earliest timestamp first,
-// insertion sequence breaking ties. seq is unique, so the minimum is unique
-// and any correct priority queue yields the same event order — the agenda
-// heap below pops events in exactly the sequence a linear min-scan would.
-func agendaLess(a, b agendaEvent) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+// event is an agenda entry: a task completion (task >= 0) or readiness
+// (^task). Its (at, seq) key is unique, so pop order is deterministic.
+type event struct {
+	at   float64
+	seq  int32
+	task int32
 }
 
 // Scheduler is a reusable list scheduler pinned to a (graph, platform) pair.
 // Bind selects the per-core scaling vector; Schedule then list-schedules any
-// mapping without allocating: every internal buffer (agenda, ready pools,
-// predecessor counts) and the output Schedule itself are reused across calls.
+// mapping without allocating, reusing every buffer and the output Schedule.
 //
-// The returned *Schedule is BORROWED — it stays valid only until the next
-// Schedule or Bind call on this Scheduler. Callers that retain a schedule
-// across calls must Clone it. The one-shot ListSchedule wrapper keeps the
-// old allocate-per-call contract for code outside the hot path.
+// It is a compiled kernel over the graph's ListKernel, and its agenda holds
+// one readiness event per task rather than one token per cross-core edge.
+// Each completion folds every out-edge's arrival into the consumer's latest
+// (time, seq) contribution: a local or zero-cycle edge contributes the
+// completion's own key, a cross-core edge its transfer arrival under a
+// fresh seq (fabric links are reserved right then). The last completing
+// predecessor readies the consumer under the largest contribution — the
+// trigger seq — at once if that is its own key, else by a readiness event.
+// A batch is every event at the current time issued before the batch
+// began; touched idle cores then dispatch their minimum-rank task. This is
+// exactly the order of the per-edge token agenda it replaced, so slots,
+// makespan, comm delay and link contention are bit-identical to it.
 //
-// A Scheduler is not safe for concurrent use; the exploration engine gives
-// each worker its own (via metrics.Evaluator).
+// The returned *Schedule is BORROWED — valid only until the next Schedule,
+// Makespan or Bind call. Callers that retain a schedule must Clone it; the
+// one-shot ListSchedule wrapper returns an owned one. A Scheduler is not
+// safe for concurrent use; each engine worker has its own (via
+// metrics.Evaluator).
 type Scheduler struct {
 	g   *taskgraph.Graph
+	k   *taskgraph.ListKernel
 	p   *arch.Platform
-	bl  []int64            // b-level priorities, graph-constant
 	icn *arch.Interconnect // nil = ideal point-to-point links
 
 	scaling []int
 	freq    []float64
 
-	// Scratch reused across Schedule calls. agenda is a binary min-heap
-	// ordered by agendaLess. linkBusy tracks, per directed fabric link,
-	// when the last reserved transfer drains; linkPath is the routing
-	// scratch.
-	remainingPreds []int
-	agenda         []agendaEvent
-	batch          []agendaEvent
-	pools          [][]taskgraph.TaskID
-	coreBusy       []bool
-	touched        []bool
-	touchedList    []int
-	linkBusy       []float64
-	linkPath       []int
+	// Scratch reused across calls: the (at, seq) min-heap and next seq,
+	// per-task unfinished predecessors and latest contribution, per-core
+	// ready ranks, and per-link drain times with routing scratch.
+	agenda      []event
+	seq         int32
+	waiting     []int32
+	readyAt     []float64
+	readySeq    []int32
+	pools       [][]int32
+	coreBusy    []bool
+	touched     []bool
+	touchedList []int
+	linkBusy    []float64
+	linkPath    []int
 
 	out Schedule
 }
@@ -68,17 +70,19 @@ func NewScheduler(g *taskgraph.Graph, p *arch.Platform) *Scheduler {
 	n := g.N()
 	cores := p.Cores()
 	s := &Scheduler{
-		g:              g,
-		p:              p,
-		bl:             g.BLevels(),
-		icn:            p.Interconnect(),
-		scaling:        make([]int, cores),
-		freq:           make([]float64, cores),
-		remainingPreds: make([]int, n),
-		pools:          make([][]taskgraph.TaskID, cores),
-		coreBusy:       make([]bool, cores),
-		touched:        make([]bool, cores),
-		touchedList:    make([]int, 0, cores),
+		g:           g,
+		k:           g.ListKernel(),
+		p:           p,
+		icn:         p.Interconnect(),
+		scaling:     make([]int, cores),
+		freq:        make([]float64, cores),
+		waiting:     make([]int32, n),
+		readyAt:     make([]float64, n),
+		readySeq:    make([]int32, n),
+		pools:       make([][]int32, cores),
+		coreBusy:    make([]bool, cores),
+		touched:     make([]bool, cores),
+		touchedList: make([]int, 0, cores),
 	}
 	if s.icn != nil {
 		s.linkBusy = make([]float64, s.icn.NumLinks())
@@ -103,9 +107,9 @@ func NewScheduler(g *taskgraph.Graph, p *arch.Platform) *Scheduler {
 // (link i is entered i hop-latencies after the start), then holds each
 // link for the serialization time bits/bandwidth. Uncontended this is
 // exactly hops·HopLatencySec + bits/BandwidthBps; contention only delays
-// the start. Transfers are issued while draining agenda events in strict
-// (time, seq) order, so reservation order — and therefore who queues
-// behind whom — is deterministic.
+// the start. Transfers are issued as completions drain in strict (time,
+// seq) order, so reservation order — and therefore who queues behind
+// whom — is deterministic.
 func (s *Scheduler) transferArrival(src, dst int, cycles int64, now float64) float64 {
 	ic := s.icn
 	ser := ic.MessageBits(cycles) / ic.BandwidthBps
@@ -122,12 +126,6 @@ func (s *Scheduler) transferArrival(src, dst int, cycles int64, now float64) flo
 	}
 	return start + float64(len(s.linkPath))*lat + ser
 }
-
-// Graph returns the pinned task graph.
-func (s *Scheduler) Graph() *taskgraph.Graph { return s.g }
-
-// Platform returns the pinned platform.
-func (s *Scheduler) Platform() *arch.Platform { return s.p }
 
 // Bind selects the scaling vector for subsequent Schedule calls. It
 // invalidates any borrowed Schedule previously returned.
@@ -181,156 +179,24 @@ func (s *Scheduler) BindDelta(next []int, changed []int) ([]int, error) {
 func (s *Scheduler) Scaling() []int { return s.scaling }
 
 // Schedule list-schedules mapping m at the bound scaling, using exactly the
-// dispatch policy of ListSchedule (highest b-level first, TaskID tie break).
-// The result is borrowed; see the type comment.
+// dispatch policy of ListSchedule (highest b-level first, TaskID tie break),
+// and bills the eq. (7) per-core busy cycles. The result is borrowed; see
+// the type comment.
 func (s *Scheduler) Schedule(m Mapping) (*Schedule, error) {
-	if err := m.Validate(s.g, s.p.Cores()); err != nil {
+	if err := s.run(m); err != nil {
 		return nil, err
 	}
-	if s.freq[0] == 0 {
-		return nil, fmt.Errorf("sched: Schedule called before Bind")
-	}
-	g, n, cores := s.g, s.g.N(), s.p.Cores()
-
-	// Reset output and scratch state.
-	sc := &s.out
-	copy(sc.Mapping, m)
-	sc.makespan = 0
-	sc.commDelaySec = 0
-	for i := range s.linkBusy {
-		s.linkBusy[i] = 0
-	}
-	for c := 0; c < cores; c++ {
-		sc.busyCycles[c] = 0
-		sc.busySec[c] = 0
-		s.pools[c] = s.pools[c][:0]
-		s.coreBusy[c] = false
-		s.touched[c] = false
-	}
-	for t := 0; t < n; t++ {
-		s.remainingPreds[t] = len(g.Preds(taskgraph.TaskID(t)))
-	}
-	s.agenda = s.agenda[:0]
-
-	seq := 0
-	push := func(at float64, isStop bool, task taskgraph.TaskID) {
-		s.heapPush(agendaEvent{at, seq, isStop, task})
-		seq++
-	}
-
-	scheduledCount := 0
-	dispatch := func(core int, now float64) {
-		if s.coreBusy[core] || len(s.pools[core]) == 0 {
-			return
-		}
-		best := 0
-		for i := 1; i < len(s.pools[core]); i++ {
-			a, b := s.pools[core][i], s.pools[core][best]
-			if s.bl[a] > s.bl[b] || (s.bl[a] == s.bl[b] && a < b) {
-				best = i
-			}
-		}
-		t := s.pools[core][best]
-		s.pools[core] = append(s.pools[core][:best], s.pools[core][best+1:]...)
-		dur := float64(g.Task(t).Cycles) / s.freq[core]
-		sc.Slots[t] = Slot{Task: t, Core: core, StartSec: now, EndSec: now + dur}
-		s.coreBusy[core] = true
-		scheduledCount++
-		push(now+dur, true, t)
-	}
-
-	// Seed: root tasks are data-ready at time zero.
-	for t := 0; t < n; t++ {
-		if s.remainingPreds[t] == 0 {
-			s.pools[m[t]] = append(s.pools[m[t]], taskgraph.TaskID(t))
-		}
-	}
-	for c := range s.pools {
-		dispatch(c, 0)
-	}
-
-	touch := func(core int) {
-		if !s.touched[core] {
-			s.touched[core] = true
-			s.touchedList = append(s.touchedList, core)
-		}
-	}
-
-	for len(s.agenda) > 0 {
-		// Batch all events at the same timestamp before dispatching so a
-		// completion and a token arrival at time t see each other. Heap pops
-		// arrive in (at, seq) order, so the batch is seq-ascending within
-		// the timestamp — the same order the old linear min-scan produced.
-		now := s.agenda[0].at
-		s.batch = s.batch[:0]
-		for len(s.agenda) > 0 && s.agenda[0].at == now {
-			s.batch = append(s.batch, s.heapPop())
-		}
-		s.touchedList = s.touchedList[:0]
-		for _, e := range s.batch {
-			if e.isStop {
-				t := e.task
-				core := m[t]
-				s.coreBusy[core] = false
-				touch(core)
-				if now > sc.makespan {
-					sc.makespan = now
-				}
-				for _, edge := range g.Succs(t) {
-					if m[edge.To] == core || edge.Cycles == 0 {
-						s.remainingPreds[edge.To]--
-						if s.remainingPreds[edge.To] == 0 {
-							s.pools[m[edge.To]] = append(s.pools[m[edge.To]], edge.To)
-							touch(m[edge.To])
-						}
-						continue
-					}
-					if s.icn != nil {
-						// Cross-core token rides the shared fabric: reserve
-						// the route's links and deliver at the (possibly
-						// contended) arrival time.
-						arrive := s.transferArrival(core, m[edge.To], edge.Cycles, now)
-						sc.commDelaySec += arrive - now
-						push(arrive, false, edge.To)
-						continue
-					}
-					// Ideal dedicated link: the token costs its cycle count
-					// at the slower endpoint's clock.
-					fSlow := s.freq[core]
-					if fd := s.freq[m[edge.To]]; fd < fSlow {
-						fSlow = fd
-					}
-					sc.commDelaySec += float64(edge.Cycles) / fSlow
-					push(now+float64(edge.Cycles)/fSlow, false, edge.To)
-				}
-			} else {
-				t := e.task
-				s.remainingPreds[t]--
-				if s.remainingPreds[t] == 0 {
-					s.pools[m[t]] = append(s.pools[m[t]], t)
-					touch(m[t])
-				}
-			}
-		}
-		for _, c := range s.touchedList {
-			dispatch(c, now)
-			s.touched[c] = false
-		}
-	}
-	if scheduledCount != n {
-		return nil, fmt.Errorf("sched: graph %q not schedulable (%d of %d tasks ran)", g.Name(), scheduledCount, n)
-	}
-
 	// Eq. (7): per-core busy cycles = task cycles + dependency cycles of
 	// cross-core edges, billed to both endpoint cores (the producer drives
 	// the link, the consumer receives; DESIGN.md §5).
-	for t := 0; t < n; t++ {
-		core := m[t]
-		sc.busyCycles[core] += g.Task(taskgraph.TaskID(t)).Cycles
-		for _, e := range g.Succs(taskgraph.TaskID(t)) {
-			if m[e.To] != core {
-				sc.busyCycles[core] += e.Cycles
-				sc.busyCycles[m[e.To]] += e.Cycles
+	sc, k := &s.out, s.k
+	clear(sc.busyCycles)
+	for t, core := range m {
+		sc.busyCycles[core] += k.Cycles[t]
+		for i := k.SuccStart[t]; i < k.SuccStart[t+1]; i++ {
+			if dst := m[k.SuccTo[i]]; dst != core {
+				sc.busyCycles[core] += k.SuccCycles[i]
+				sc.busyCycles[dst] += k.SuccCycles[i]
 			}
 		}
 	}
@@ -340,45 +206,182 @@ func (s *Scheduler) Schedule(m Mapping) (*Schedule, error) {
 	return sc, nil
 }
 
-// heapPush inserts an event into the agenda min-heap. Hand-rolled rather
-// than container/heap: the interface indirection and per-op allocations of
-// the stdlib adapter are measurable at this call frequency, and the agenda
-// is the scheduler's innermost data structure.
-func (s *Scheduler) heapPush(e agendaEvent) {
+// Makespan is Schedule without the eq. (7) busy-cycle billing: it returns
+// only the single-iteration makespan, and invalidates any borrowed Schedule.
+func (s *Scheduler) Makespan(m Mapping) (float64, error) {
+	err := s.run(m)
+	return s.out.makespan, err
+}
+
+// run is the schedule loop shared by Schedule and Makespan: it fills the
+// output's Mapping, Slots, makespan and comm delay.
+func (s *Scheduler) run(m Mapping) error {
+	if err := m.Validate(s.g, len(s.freq)); err != nil {
+		return err
+	}
+	if s.freq[0] == 0 {
+		return fmt.Errorf("sched: Schedule called before Bind")
+	}
+	k, sc := s.k, &s.out
+	copy(sc.Mapping, m)
+	sc.makespan, sc.commDelaySec = 0, 0
+	clear(s.linkBusy)
+	clear(s.coreBusy)
+	copy(s.waiting, k.InDegree)
+	clear(s.readyAt)
+	s.agenda, s.seq = s.agenda[:0], 0
+	for c := range s.pools {
+		s.pools[c] = s.pools[c][:0]
+	}
+	// Seed: root tasks are data-ready at time zero. Every contribution is
+	// later than zero, so the cleared readyAt makes the first one win.
+	for t, d := range k.InDegree {
+		if d == 0 {
+			s.pools[m[t]] = append(s.pools[m[t]], k.Rank[t])
+		}
+	}
+	for c := range s.pools {
+		s.dispatch(c, 0)
+	}
+
+	for len(s.agenda) > 0 {
+		// A batch is every event at now issued before the batch began;
+		// events it issues at now (a duration or transfer that rounds to
+		// zero) form the next batch. Completions and readiness at now see
+		// each other before any touched core dispatches.
+		now, end := s.agenda[0].at, s.seq
+		s.touchedList = s.touchedList[:0]
+		for len(s.agenda) > 0 && s.agenda[0].at == now && s.agenda[0].seq < end {
+			e := s.pop()
+			if e.task < 0 {
+				s.ready(^e.task, m)
+				continue
+			}
+			s.complete(e, m)
+		}
+		for _, c := range s.touchedList {
+			s.dispatch(c, now)
+			s.touched[c] = false
+		}
+	}
+	return nil
+}
+
+// complete retires completion e: it frees the core and folds every
+// outgoing edge's arrival into its consumer's latest contribution,
+// readying the consumers whose last predecessor this was.
+func (s *Scheduler) complete(e event, m Mapping) {
+	k, sc, now := s.k, &s.out, e.at
+	core := m[e.task]
+	s.coreBusy[core] = false
+	s.touch(core)
+	sc.makespan = now
+	for i := k.SuccStart[e.task]; i < k.SuccStart[e.task+1]; i++ {
+		to, cyc := k.SuccTo[i], k.SuccCycles[i]
+		at, seq := now, e.seq
+		if dst := m[to]; dst != core && cyc != 0 {
+			if s.icn != nil {
+				// Reserve the fabric route; arrive at the contended time.
+				at = s.transferArrival(core, dst, cyc, now)
+				sc.commDelaySec += at - now
+			} else {
+				// Ideal link: cycles at the slower endpoint's clock.
+				d := float64(cyc) / min(s.freq[core], s.freq[dst])
+				sc.commDelaySec += d
+				at = now + d
+			}
+			seq = s.seq
+			s.seq++
+		}
+		if at > s.readyAt[to] || (at == s.readyAt[to] && seq > s.readySeq[to]) {
+			s.readyAt[to], s.readySeq[to] = at, seq
+		}
+		if s.waiting[to]--; s.waiting[to] > 0 {
+			continue
+		}
+		if s.readySeq[to] == e.seq {
+			s.ready(to, m) // readied by this completion itself
+		} else {
+			s.push(event{s.readyAt[to], s.readySeq[to], ^to})
+		}
+	}
+}
+
+// ready adds task t to its core's ready pool.
+func (s *Scheduler) ready(t int32, m Mapping) {
+	core := m[t]
+	s.pools[core] = append(s.pools[core], s.k.Rank[t])
+	s.touch(core)
+}
+
+func (s *Scheduler) touch(core int) {
+	if !s.touched[core] {
+		s.touched[core] = true
+		s.touchedList = append(s.touchedList, core)
+	}
+}
+
+// dispatch starts the minimum-rank ready task on core if the core is idle.
+func (s *Scheduler) dispatch(core int, now float64) {
+	pool := s.pools[core]
+	if s.coreBusy[core] || len(pool) == 0 {
+		return
+	}
+	best := 0
+	for i, r := range pool {
+		if r < pool[best] {
+			best = i
+		}
+	}
+	t := s.k.ByRank[pool[best]]
+	last := len(pool) - 1
+	pool[best] = pool[last]
+	s.pools[core] = pool[:last]
+	end := now + float64(s.k.Cycles[t])/s.freq[core]
+	s.out.Slots[t] = Slot{Task: taskgraph.TaskID(t), Core: core, StartSec: now, EndSec: end}
+	s.coreBusy[core] = true
+	s.push(event{end, s.seq, t})
+	s.seq++
+}
+
+func (a event) before(b event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// push inserts an event into the agenda min-heap. Hand-rolled rather than
+// container/heap: the interface indirection of the stdlib adapter is
+// measurable at this call frequency.
+func (s *Scheduler) push(e event) {
 	s.agenda = append(s.agenda, e)
 	i := len(s.agenda) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !agendaLess(s.agenda[i], s.agenda[parent]) {
+		if !e.before(s.agenda[parent]) {
 			break
 		}
-		s.agenda[i], s.agenda[parent] = s.agenda[parent], s.agenda[i]
+		s.agenda[i] = s.agenda[parent]
 		i = parent
 	}
+	s.agenda[i] = e
 }
 
-// heapPop removes and returns the agenda's (at, seq)-minimum event.
-func (s *Scheduler) heapPop() agendaEvent {
-	top := s.agenda[0]
-	last := len(s.agenda) - 1
-	s.agenda[0] = s.agenda[last]
-	s.agenda = s.agenda[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < last && agendaLess(s.agenda[l], s.agenda[small]) {
-			small = l
+// pop removes and returns the agenda's (at, seq)-minimum event.
+func (s *Scheduler) pop() event {
+	a := s.agenda
+	top, last := a[0], len(a)-1
+	e, i := a[last], 0
+	for c := 1; c < last; c = 2*i + 1 {
+		if c+1 < last && a[c+1].before(a[c]) {
+			c++
 		}
-		if r < last && agendaLess(s.agenda[r], s.agenda[small]) {
-			small = r
-		}
-		if small == i {
+		if !a[c].before(e) {
 			break
 		}
-		s.agenda[i], s.agenda[small] = s.agenda[small], s.agenda[i]
-		i = small
+		a[i] = a[c]
+		i = c
 	}
+	a[i] = e
+	s.agenda = a[:last]
 	return top
 }
 

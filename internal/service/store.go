@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -23,7 +24,7 @@ import (
 //
 // The journal is a log, not a database: recovery replays it from the top,
 // later records superseding earlier ones, and a torn final line (the
-// append the crash interrupted) is ignored.
+// append the crash interrupted) is ignored and truncated away on open.
 
 // storeJournalName is the journal file inside Config.StoreDir.
 const storeJournalName = "journal.jsonl"
@@ -68,13 +69,17 @@ type jobStore struct {
 }
 
 // openJobStore opens (creating as needed) the journal under dir and replays
-// its existing records.
+// its existing records. A torn tail is cut off — the journal is truncated
+// to the end of the last whole record and the truncation fsynced — before
+// appends resume, so the next record starts on a line of its own instead
+// of being glued onto the fragment (which would hide it, and every record
+// after it, from the next recovery).
 func openJobStore(dir string) (*jobStore, []storeRecord, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("service: store dir: %w", err)
 	}
 	path := filepath.Join(dir, storeJournalName)
-	recs, err := replayJournal(path)
+	recs, good, err := replayJournal(path)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -82,39 +87,52 @@ func openJobStore(dir string) (*jobStore, []storeRecord, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("service: opening store journal: %w", err)
 	}
+	info, err := f.Stat()
+	if err == nil && info.Size() > good {
+		if err = f.Truncate(good); err == nil {
+			err = f.Sync()
+		}
+	}
+	if err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("service: truncating torn store journal: %w", err)
+	}
 	return &jobStore{f: f}, recs, nil
 }
 
-// replayJournal reads every decodable record in order. Decoding stops at
-// the first malformed line, which is the torn tail of an interrupted
-// append — everything before it was fsynced whole.
-func replayJournal(path string) ([]storeRecord, error) {
+// replayJournal reads every decodable record in order and returns them
+// with the byte offset just past the last whole one. Decoding stops at the
+// first malformed or unterminated line, which is the torn tail of an
+// interrupted append — everything before it was fsynced whole.
+func replayJournal(path string) ([]storeRecord, int64, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return nil, nil
+		return nil, 0, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("service: reading store journal: %w", err)
+		return nil, 0, fmt.Errorf("service: reading store journal: %w", err)
 	}
 	defer f.Close()
 	var recs []storeRecord
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 64<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+	var good int64
+	r := bufio.NewReaderSize(f, 64*1024)
+	for {
+		line, err := r.ReadBytes('\n')
+		if err == io.EOF {
+			return recs, good, nil // a fragment without its newline is torn
 		}
-		var rec storeRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			break // torn tail from an interrupted append
+		if err != nil {
+			return nil, 0, fmt.Errorf("service: reading store journal: %w", err)
 		}
-		recs = append(recs, rec)
+		if len(line) > 1 {
+			var rec storeRecord
+			if err := json.Unmarshal(line, &rec); err != nil {
+				return recs, good, nil // torn tail from an interrupted append
+			}
+			recs = append(recs, rec)
+		}
+		good += int64(len(line))
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("service: reading store journal: %w", err)
-	}
-	return recs, nil
 }
 
 // Append writes one record and fsyncs it. Callers must not acknowledge the

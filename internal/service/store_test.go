@@ -156,6 +156,26 @@ func TestStoreRecoversUnfinishedJobs(t *testing.T) {
 	if next.ID != "j-000008" {
 		t.Fatalf("post-recovery submission got ID %s, want j-000008", next.ID)
 	}
+
+	// A second crash-and-recover: records appended after the first
+	// recovery must not have been glued onto the torn fragment, so both
+	// jobs survive it.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := s.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	s2 := newStoreServer(t, dir, Config{Workers: 1})
+	again, err := s2.Job("j-000007")
+	if err != nil {
+		t.Fatalf("second recovery lost j-000007: %v", err)
+	}
+	if again.State != StateDone || !bytes.Equal(again.Result, want.Result) {
+		t.Fatalf("second recovery: j-000007 %s, bytes equal %v", again.State, bytes.Equal(again.Result, want.Result))
+	}
+	if _, err := s2.Job("j-000008"); err != nil {
+		t.Fatalf("second recovery lost j-000008: %v", err)
+	}
 }
 
 // TestStoreCoalescesRecoveredDuplicates: two accepted-but-unfinished jobs

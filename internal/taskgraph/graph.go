@@ -52,6 +52,25 @@ type Graph struct {
 	succ [][]Edge // outgoing edges per task
 	pred [][]Edge // incoming edges per task
 	topo []TaskID // one valid topological order
+
+	kernel ListKernel
+}
+
+// ListKernel is the graph-constant input of list scheduling, compiled once
+// per Graph in Build so that every scheduler over the graph shares it
+// instead of deriving its own copy. Successors are stored in CSR form, in
+// Succs order: task t's edges are SuccTo[SuccStart[t]:SuccStart[t+1]] with
+// parallel SuccCycles. Rank is the dispatch priority — b-level descending,
+// TaskID ascending — and ByRank its inverse. The slices are shared; do not
+// mutate.
+type ListKernel struct {
+	Cycles     []int64
+	InDegree   []int32
+	SuccStart  []int32
+	SuccTo     []int32
+	SuccCycles []int64
+	Rank       []int32
+	ByRank     []int32
 }
 
 // Builder assembles a Graph incrementally and validates it on Build.
@@ -142,7 +161,40 @@ func (b *Builder) Build() (*Graph, error) {
 		return nil, err
 	}
 	g.topo = topo
+	g.compileKernel()
 	return g, nil
+}
+
+// compileKernel fills g.kernel from the finished graph.
+func (g *Graph) compileKernel() {
+	n := len(g.tasks)
+	k := &g.kernel
+	k.Cycles = make([]int64, n)
+	k.InDegree = make([]int32, n)
+	k.SuccStart = make([]int32, n+1)
+	k.ByRank = make([]int32, n)
+	k.Rank = make([]int32, n)
+	edges := 0
+	for _, es := range g.succ {
+		edges += len(es)
+	}
+	k.SuccTo = make([]int32, 0, edges)
+	k.SuccCycles = make([]int64, 0, edges)
+	for t := range g.tasks {
+		k.Cycles[t] = g.tasks[t].Cycles
+		k.InDegree[t] = int32(len(g.pred[t]))
+		k.SuccStart[t+1] = k.SuccStart[t] + int32(len(g.succ[t]))
+		k.ByRank[t] = int32(t)
+		for _, e := range g.succ[t] {
+			k.SuccTo = append(k.SuccTo, int32(e.To))
+			k.SuccCycles = append(k.SuccCycles, e.Cycles)
+		}
+	}
+	bl := g.BLevels()
+	sort.SliceStable(k.ByRank, func(i, j int) bool { return bl[k.ByRank[i]] > bl[k.ByRank[j]] })
+	for r, t := range k.ByRank {
+		k.Rank[t] = int32(r)
+	}
 }
 
 // MustBuild is Build but panics on error; for static fixtures.
@@ -202,6 +254,9 @@ func (g *Graph) Tasks() []Task { return g.tasks }
 
 // Inventory returns the register inventory the task footprints refer to.
 func (g *Graph) Inventory() *registers.Inventory { return g.inventory }
+
+// ListKernel returns the graph's compiled list-scheduling input.
+func (g *Graph) ListKernel() *ListKernel { return &g.kernel }
 
 // Succs returns the outgoing edges of task id.
 func (g *Graph) Succs(id TaskID) []Edge { return g.succ[id] }

@@ -292,3 +292,38 @@ func TestUnionRegisters(t *testing.T) {
 		t.Errorf("union bits = %d", got)
 	}
 }
+
+// TestListKernelMatchesGraph: the compiled list-scheduling input agrees
+// with the graph's own accessors — costs, in-degrees, successors in Succs
+// order — and Rank orders tasks by b-level descending, TaskID ascending.
+func TestListKernelMatchesGraph(t *testing.T) {
+	for _, g := range []*Graph{MPEG2(), Fig8(), MustRandom(DefaultRandomConfig(60), 3)} {
+		k := g.ListKernel()
+		bl := g.BLevels()
+		for id := 0; id < g.N(); id++ {
+			tid := TaskID(id)
+			if k.Cycles[id] != g.Task(tid).Cycles || int(k.InDegree[id]) != len(g.Preds(tid)) {
+				t.Fatalf("%s: task %d cycles/in-degree %d/%d", g.Name(), id, k.Cycles[id], k.InDegree[id])
+			}
+			succs := g.Succs(tid)
+			if int(k.SuccStart[id+1]-k.SuccStart[id]) != len(succs) {
+				t.Fatalf("%s: task %d has %d CSR successors, want %d", g.Name(), id, k.SuccStart[id+1]-k.SuccStart[id], len(succs))
+			}
+			for j, e := range succs {
+				i := int(k.SuccStart[id]) + j
+				if TaskID(k.SuccTo[i]) != e.To || k.SuccCycles[i] != e.Cycles {
+					t.Fatalf("%s: task %d successor %d = %d/%d, want %d/%d", g.Name(), id, j, k.SuccTo[i], k.SuccCycles[i], e.To, e.Cycles)
+				}
+			}
+			if k.ByRank[k.Rank[id]] != int32(id) {
+				t.Fatalf("%s: ByRank is not the inverse of Rank at task %d", g.Name(), id)
+			}
+		}
+		for r := 1; r < g.N(); r++ {
+			a, b := k.ByRank[r-1], k.ByRank[r]
+			if bl[a] < bl[b] || (bl[a] == bl[b] && a > b) {
+				t.Fatalf("%s: rank %d (task %d, b-level %d) before task %d (b-level %d)", g.Name(), r-1, a, bl[a], b, bl[b])
+			}
+		}
+	}
+}

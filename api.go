@@ -271,14 +271,6 @@ type OptimizeOptions struct {
 	// SampleBudget bounds StrategySampled's portfolio size (0 selects the
 	// engine default). Ignored by the exact strategies.
 	SampleBudget int
-	// Ranked makes StrategyBranchAndBound locate its first feasible
-	// incumbent by walking combinations in ascending nominal power before
-	// the deterministic stream starts, so dominance pruning is active from
-	// the first combination. The chosen design is unchanged (still
-	// byte-identical to exhaustive); only wall-clock and the
-	// pruned/skipped split differ. Requires StrategyBranchAndBound;
-	// ignored by OptimizePareto.
-	Ranked bool
 	// Objectives selects the objective components of the Pareto
 	// exploration's dominance tests (OptimizePareto); 0 selects all three
 	// (power, makespan, Γ). Ignored by the scalar optimizations.
@@ -289,16 +281,6 @@ type OptimizeOptions struct {
 	// spans. Telemetry is observe-only — the chosen Design/frontier is
 	// byte-identical with Stats set or nil.
 	Stats *ExploreStats
-	// WarmHints warm-starts the scalar branch-and-bound from prior results
-	// over the same graph and platform: each hint is a candidate
-	// combination index (e.g. a fingerprint-matching earlier run's winner)
-	// that is re-validated by this run's own feasibility probe under THIS
-	// run's deadline before it may seed the dominance incumbent. The
-	// chosen Design is byte-identical to a cold run — stale hints can only
-	// cost a probe, never change the answer; like Ranked, only the
-	// pruned/skipped split of Progress may differ. Ignored when Ranked is
-	// set, under non-BnB strategies, and by OptimizePareto.
-	WarmHints []int
 	// WarmFrontier warm-starts OptimizePareto's frontier-dominance pruning
 	// with a prior run's frontier over the same problem whose options
 	// differed at most in Objectives. The returned frontier is
@@ -346,11 +328,9 @@ func (o OptimizeOptions) mappingConfig() mapping.Config {
 		// The facade returns only the chosen design; don't retain one
 		// Design per combination on large platforms.
 		SampleBudget:      o.SampleBudget,
-		Ranked:            o.Ranked,
 		Objectives:        o.Objectives,
 		DiscardPerScaling: true,
 		Reuse:             o.Reuse,
-		WarmHints:         o.WarmHints,
 		WarmFrontier:      o.WarmFrontier,
 	}
 }
@@ -525,7 +505,7 @@ func (s *System) OptimizeShardedParetoContext(ctx context.Context, opts Optimize
 
 // ScalingRank returns the enumeration rank of a per-core DVS scaling
 // vector in this system's platform space — the Combination index carried
-// by Progress events and consumed by WarmHints and WarmPoint seeds.
+// by Progress events and consumed by WarmPoint seeds.
 func (s *System) ScalingRank(scaling []int) (int, error) {
 	sp, err := vscale.PlatformSpace(s.Platform)
 	if err != nil {
@@ -572,12 +552,13 @@ type SweepOptions struct {
 	// several sweeps (or a service) share one reuse bundle; otherwise the
 	// sweep allocates a private one.
 	Options OptimizeOptions
-	// NoWarmStart disables the incumbent pre-seeding of scalar points (the
-	// Ranked pass) and the frontier ghost chaining of Pareto points. Shared
-	// probe/bounds/evaluator reuse stays on — it is verdict-preserving by
-	// construction. With NoWarmStart the whole per-point event stream
-	// (including the Pruned/Skipped split) is byte-identical to independent
-	// cold runs; without it, only the per-point Design/frontier is.
+	// NoWarmStart disables the frontier ghost chaining of Pareto points;
+	// scalar points seed from the ranked pass either way, as every
+	// branch-and-bound run does. Shared probe/bounds/evaluator reuse stays
+	// on — it is verdict-preserving by construction. With NoWarmStart every
+	// point's event stream (including the Pruned/Skipped split) is
+	// byte-identical to an independent cold run; without it, a Pareto
+	// point's Pruned/Skipped split may differ, never its frontier.
 	NoWarmStart bool
 	// PointProgress, when non-nil, receives every point's exploration
 	// progress, tagged with the point index. Called on the sweeping
@@ -631,7 +612,6 @@ func (s *System) OptimizeSweepContext(ctx context.Context, points []SweepPoint, 
 		tel = mapping.NewTelemetry()
 	}
 
-	bnb := base.Strategy == "" || base.Strategy == StrategyBranchAndBound
 	var space *vscale.Space
 	if !o.NoWarmStart {
 		var err error
@@ -654,7 +634,6 @@ func (s *System) OptimizeSweepContext(ctx context.Context, points []SweepPoint, 
 		}
 		popt := base
 		popt.DeadlineSec = pt.DeadlineSec
-		popt.WarmHints = nil
 		popt.WarmFrontier = nil
 		cfg := popt.mappingConfig()
 		cfg.Telemetry = tel
@@ -691,13 +670,6 @@ func (s *System) OptimizeSweepContext(ctx context.Context, points []SweepPoint, 
 				}
 			}
 		} else {
-			if !o.NoWarmStart && bnb {
-				// The ranked pass finds the global minimum probe-feasible
-				// nominal — at least as tight as any prior point's winner —
-				// and its probes are all shared-cache work, so warm points
-				// pay only the ranked walk plus an already-pruned stream.
-				cfg.Ranked = true
-			}
 			best, _, err := mapping.ExploreContext(ctx, s.Graph, s.Platform, mapping.SEAMapper(cfg), cfg)
 			if err != nil {
 				return nil, err

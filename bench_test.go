@@ -520,18 +520,6 @@ func BenchmarkExplore64CoreBnB(b *testing.B) {
 	benchSystem(b, sys, opts)
 }
 
-// BenchmarkExplore64CoreBnBRanked adds the ranked incumbent-seeding pass:
-// a sequential ascending-nominal walk locates the eventual winner's power
-// before the lexicographic stream starts, so every pricier combination is
-// dominance-skipped at dispatch instead of mapped. Same design,
-// byte-identical to exhaustive.
-func BenchmarkExplore64CoreBnBRanked(b *testing.B) {
-	sys, opts := bench64System(b)
-	opts.Strategy = StrategyBranchAndBound
-	opts.Ranked = true
-	benchSystem(b, sys, opts)
-}
-
 // BenchmarkExplore64CoreNoC is the flagship workload behind a contended
 // 8×8-mesh NoC: every cross-core token is charged real serialization, hop
 // latency and link queuing through the scheduler, so this measures the
@@ -569,7 +557,6 @@ func BenchmarkExplore64CoreNoC(b *testing.B) {
 		SearchMoves: 200,
 		Seed:        1,
 		Strategy:    StrategyBranchAndBound,
-		Ranked:      true,
 	}
 	benchSystem(b, sys, opts)
 }
@@ -639,7 +626,7 @@ func BenchmarkTelemetryOverhead16Core(b *testing.B) {
 }
 
 // BenchmarkTelemetryFlagship64Core is the flagship phase profile: the
-// ranked 64-core BnB walk of BENCH_scale.json with the collector attached,
+// 64-core BnB walk of BENCH_scale.json with the collector attached,
 // reporting where its wall clock actually goes (probe vs mapper vs fold).
 // Compare /on against /off at -benchtime 1x for the recorded overhead.
 func BenchmarkTelemetryFlagship64Core(b *testing.B) {
@@ -651,7 +638,6 @@ func BenchmarkTelemetryFlagship64Core(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			sys, opts := bench64System(b)
 			opts.Strategy = StrategyBranchAndBound
-			opts.Ranked = true
 			benchTelemetry(b, sys, opts, tel)
 		})
 	}
@@ -702,11 +688,12 @@ func benchSweepDeadlines() []float64 {
 
 // BenchmarkSweepWarmVsCold is the warm-start measurement of
 // BENCH_sweep.json: /Cold runs the 8-point deadline sweep as 8 independent
-// Optimize calls (fresh probe work, cold incumbent, per-run bounds);
-// /Warm runs the same 8 points as ONE OptimizeSweep batch — one bounds
-// precompute, one probe-trajectory climb shared across all points, and
-// ranked warm incumbents — and must return byte-identical designs roughly
-// an order of magnitude faster (cmd/benchgate gates the Cold/Warm ratio).
+// Optimize calls (fresh probe work, per-run bounds, a ranked pass per run
+// over a cold probe cache); /Warm runs the same 8 points as ONE
+// OptimizeSweep batch — one bounds precompute and one probe-trajectory
+// climb shared across all points, so later points' ranked passes read the
+// cache — and must return byte-identical designs (cmd/benchgate gates the
+// Cold/Warm ratio).
 func BenchmarkSweepWarmVsCold(b *testing.B) {
 	g, _ := bench16Graph(b)
 	deadlines := benchSweepDeadlines()

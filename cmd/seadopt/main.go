@@ -49,10 +49,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		parallel  = fs.Int("parallel", 0, "scaling-combination workers (0 = all cores, 1 = sequential; same result either way)")
 		strategy  = fs.String("strategy", "", "exploration strategy: bnb (default; same answer as exhaustive, prunes provably irrelevant scalings), exhaustive, or sampled (approximate)")
 		budget    = fs.Int("sample-budget", 0, "combinations the sampled strategy maps (0 = default)")
-		ranked    = fs.Bool("ranked", false, "seed the bnb incumbent via a ranked (cheapest-nominal-first) pass before the stream; same answer, often much faster")
 		dlSweep   = fs.String("deadline-sweep", "", "evaluate a lo:hi:step deadline sweep (seconds) over one shared reuse layer instead of a single run; honors -pareto/-objectives per point")
 		sweepSpec = fs.String("sweep-spec", "", "JSON sweep-spec file {\"deadlines\":[..],\"point_mode\":\"scalar|pareto\",\"objective_sets\":[..],\"no_warm_start\":false}; overrides -deadline-sweep/-pareto/-objectives")
-		coldSweep = fs.Bool("cold-sweep", false, "run sweep points without warm-starting (same designs, byte-identical per-point progress to independent runs)")
+		coldSweep = fs.Bool("cold-sweep", false, "run Pareto sweep points without frontier warm-starting (same frontiers, byte-identical per-point progress to independent runs)")
 		paretoRun = fs.Bool("pareto", false, "return the Pareto frontier of feasible designs instead of the single minimum-power one")
 		objs      = fs.String("objectives", "", "pareto objectives, comma-separated subset of power,makespan,gamma (default all three)")
 		progress  = fs.Bool("progress", false, "print one line per resolved scaling combination")
@@ -163,7 +162,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Parallelism:      *parallel,
 		Strategy:         strat,
 		SampleBudget:     *budget,
-		Ranked:           *ranked,
 		Objectives:       objectives,
 		Stats:            exploreStats,
 	}

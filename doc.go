@@ -64,10 +64,14 @@
 // OptimizeOptions.Strategy selects the walk. The default,
 // StrategyBranchAndBound, prunes combinations whose admissible best-case
 // makespan already misses the deadline and skips combinations whose nominal
-// power is dominated by a resolved feasible incumbent (cancelling dominated
-// in-flight work); because both rules discard only provably losing
-// combinations — with a deterministic exhaustive fallback when no feasible
-// design exists at all — it returns a byte-identical Design to
+// power is dominated by a feasible incumbent (cancelling dominated
+// in-flight work). A ranked pass seeds that incumbent before the walk: it
+// probes combinations in ascending nominal power, up to Parallelism at a
+// time but resolved in rank order, until the first probe-feasible one, so
+// dominance skipping is in force from the first combination. Because both
+// rules discard only provably losing combinations — with a deterministic
+// exhaustive fallback when no feasible design exists at all — it returns a
+// byte-identical Design to
 // StrategyExhaustive, the map-everything reference the paper tables are
 // regenerated under. StrategySampled instead maps a seed-deterministic
 // uniform sample of SampleBudget combinations: it is exact only in the

@@ -92,13 +92,12 @@ func Explore(g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc, cfg Config
 // cannot change the verdict — dominated on nominal power by a resolved
 // feasible incumbent, or probe-infeasible while any probed incumbent stands
 // — cancelling dominated in-flight work, and returns a byte-identical best
-// Design; StrategySampled maps a budgeted
-// random portfolio. With Config.Ranked, branch-and-bound first locates a
-// feasible incumbent by walking combinations in ascending nominal power, so
-// the dominance threshold is in force from the very first combination of
-// the deterministic stream. The enumeration is never materialized:
-// combinations stream through a bounded reorder window, so memory is
-// O(workers), not O(combinations).
+// Design; StrategySampled maps a budgeted random portfolio. Branch-and-bound
+// first locates its incumbent's nominal power by probing combinations in
+// ascending nominal power (the ranked pass), so the dominance threshold is
+// in force from the very first combination of the deterministic stream.
+// The enumeration is never materialized: combinations stream through a
+// bounded reorder window, so memory is O(workers), not O(combinations).
 //
 // perScaling lists one Design per visited combination in visit order, for
 // the experiment harness; entries are nil for pruned/skipped combinations,
@@ -177,8 +176,8 @@ func ExplorePareto(g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc, cfg 
 // metrics.Bounds T_M lower bound, zero Γ — is strictly dominated by a
 // frontier member, which proves its realized vector cannot join the
 // frontier. Deadline-bound pruning applies unchanged. The frontier is
-// byte-identical to StrategyExhaustive's at any Parallelism. Config.Ranked
-// is ignored: the frontier admits only realized designs, so there is no
+// byte-identical to StrategyExhaustive's at any Parallelism. There is no
+// ranked pass: the frontier admits only realized designs, so there is no
 // scalar incumbent to pre-seed.
 //
 // When no deadline-feasible design exists the frontier would be empty;
@@ -248,7 +247,6 @@ func ExploreParetoContext(ctx context.Context, g *taskgraph.Graph, p *arch.Platf
 		silent := cfg
 		silent.Progress = nil
 		silent.DiscardPerScaling = true
-		silent.Ranked = false
 		best, _, _, err := exploreStream(ctx, g, p, mapper, silent, false)
 		if err != nil {
 			return nil, err
@@ -688,18 +686,26 @@ func newComboSource(p *arch.Platform, cfg Config, strategy Strategy) (*comboSour
 	return &comboSource{size: space.Count(), next: it.Next}, nil
 }
 
-// seedRankedIncumbent is the ranked pass of Config.Ranked: it walks the
+// seedRankedIncumbent is branch-and-bound's ranked pass: it walks the
 // combination space in ascending nominal power (vscale.RankedFrontier over
 // the per-level f·V² terms), cursor-prunes bound-infeasible combinations,
 // and probes the rest until the first probe-feasible combination — whose
 // nominal power is, by the walk order, the minimum nominal of any
-// probe-feasible combination. That value pre-seeds the branch-and-bound
-// dominance threshold, so the lexicographic stream skips beyond-band
-// combinations from its very first position instead of waiting for the
-// incumbent to stream by. Probe verdicts land in cfg.Probe (keyed by the
-// stable combination index), so the main stream reuses every probe this
-// pass ran. ok is false when nothing probe-feasible exists; the stream then
-// runs unseeded and the usual degenerate fallback applies.
+// probe-feasible combination. That value pre-seeds the dominance
+// threshold, so the lexicographic stream skips beyond-band combinations
+// from its very first position instead of waiting for the incumbent to
+// stream by.
+//
+// Up to cfg.Parallelism probes run at once, each worker on its own
+// evaluator and scratch set, but verdicts resolve strictly in rank order
+// and the window never reaches past the lowest unresolved rank by more than
+// Parallelism-1 probes: the seed is the same at any Parallelism, and at
+// most Parallelism-1 probes beyond the seed combination are started. Those
+// are cancelled on return; a cancelled climb stays resumable in cfg.Probe.
+// Probe verdicts land in cfg.Probe (keyed by the stable combination index;
+// callers set it), so the main stream reuses every probe this pass ran. ok
+// is false when nothing probe-feasible exists; the stream then runs
+// unseeded and the usual degenerate fallback applies.
 func seedRankedIncumbent(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, cfg Config) (nominal float64, ok bool, err error) {
 	tel := cfg.Telemetry
 	if tel != nil {
@@ -731,130 +737,123 @@ func seedRankedIncumbent(ctx context.Context, g *taskgraph.Graph, p *arch.Platfo
 	if err != nil {
 		return 0, false, fmt.Errorf("mapping: ranked incumbent seeding: %w", err)
 	}
-	bounds := boundsFor(g, p, cfg)
-	cursor := bounds.Cursor()
-	eval, releaseEval, err := acquireEvaluator(g, p, cfg)
-	if err != nil {
-		return 0, false, err
+	cursor := boundsFor(g, p, cfg).Cursor()
+	workers := cfg.Parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	defer releaseEval()
-	if tel != nil {
-		// Pooled evaluators carry counters across borrowers; attribute only
-		// this pass's delta.
-		base := eval.Stats()
-		defer func() { tel.addEvalStats(eval.Stats().Sub(base)) }()
-	}
-	mc := &MapContext{Graph: g, Platform: p, Eval: eval, scratch: newComboScratch(g.N(), cores)}
-	for {
-		combo, more := fr.Next()
-		if !more {
-			return 0, false, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return 0, false, err
-		}
-		if _, err := cursor.Advance(combo.Scaling); err != nil {
-			return 0, false, err
-		}
-		if cfg.DeadlineSec > 0 && cursor.TMLowerBound() > cfg.DeadlineSec*(1+1e-9) {
-			continue // provably infeasible; the stream will bound-prune it too
-		}
-		if err := eval.Bind(combo.Scaling); err != nil {
-			return 0, false, err
-		}
-		mc.Ctx = ctx
-		mc.Scaling = eval.Scaling()
-		mc.Seed = comboSeed(cfg.Seed, combo.Index)
-		var t0 int64
-		if tel != nil {
-			t0 = tel.now()
-		}
-		_, feasible, hit, err := cfg.Probe.feasibleAtScaling(mc, combo.Index, cfg)
-		if tel != nil {
-			tel.observeProbe(tel.now()-t0, hit)
-		}
-		if err != nil {
-			return 0, false, err
-		}
-		if feasible {
-			return cursor.NominalPower(), true, nil
-		}
-	}
-}
 
-// seedWarmIncumbent validates Config.WarmHints against the CURRENT problem
-// and returns the minimum probe-feasible nominal power among them. Hints are
-// just candidate combination indices (typically a fingerprint-matching prior
-// run's winner); each is re-probed under this run's deadline through the
-// shared probe cache before it may seed anything, so a hint from a different
-// deadline — or a garbage hint — can never unsoundly skip work: only the
-// verdicts of this run's own probe are trusted, satisfying scalarFold.seed's
-// realizability contract. Out-of-range hints are ignored.
-func seedWarmIncumbent(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, cfg Config) (nominal float64, ok bool, err error) {
-	tel := cfg.Telemetry
-	if tel != nil {
-		start := tel.now()
-		defer func() { tel.addRanked(tel.now() - start) }()
+	// A rankedProbe and its verdict carry the probe's rank-order sequence
+	// number among the probed (not bound-pruned) combinations.
+	type rankedProbe struct {
+		seq     int
+		idx     int
+		scaling []int
 	}
-	space, err := vscale.PlatformSpace(p)
-	if err != nil {
-		return 0, false, err
+	type verdict struct {
+		seq      int
+		feasible bool
+		err      error
 	}
-	count := space.Count()
-	bounds := boundsFor(g, p, cfg)
-	cursor := bounds.Cursor()
-	eval, releaseEval, err := acquireEvaluator(g, p, cfg)
-	if err != nil {
-		return 0, false, err
-	}
-	defer releaseEval()
-	if tel != nil {
-		base := eval.Stats()
-		defer func() { tel.addEvalStats(eval.Stats().Sub(base)) }()
-	}
-	mc := &MapContext{Graph: g, Platform: p, Eval: eval, scratch: newComboScratch(g.N(), p.Cores())}
-	best, seeded := 0.0, false
-	for _, hint := range cfg.WarmHints {
-		if hint < 0 || hint >= count {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return 0, false, err
-		}
-		scaling, err := space.Unrank(hint)
-		if err != nil {
-			continue
-		}
-		if _, err := cursor.Advance(scaling); err != nil {
-			return 0, false, err
-		}
-		if cfg.DeadlineSec > 0 && cursor.TMLowerBound() > cfg.DeadlineSec*(1+1e-9) {
-			continue // provably infeasible under the new deadline
-		}
-		if err := eval.Bind(scaling); err != nil {
-			return 0, false, err
-		}
-		mc.Ctx = ctx
-		mc.Scaling = eval.Scaling()
-		mc.Seed = comboSeed(cfg.Seed, hint)
-		var t0 int64
-		if tel != nil {
-			t0 = tel.now()
-		}
-		_, feasible, hit, err := cfg.Probe.feasibleAtScaling(mc, hint, cfg)
-		if tel != nil {
-			tel.observeProbe(tel.now()-t0, hit)
-		}
-		if err != nil {
-			return 0, false, err
-		}
-		if feasible {
-			if n := cursor.NominalPower(); !seeded || n < best {
-				best, seeded = n, true
+	pctx, cancel := context.WithCancel(ctx)
+	jobs := make(chan rankedProbe)
+	// Every dispatched probe sends exactly one verdict and at most
+	// `workers` are unreceived at any time, so sends never block.
+	verdicts := make(chan verdict, workers)
+	var wg sync.WaitGroup
+	defer func() {
+		cancel()
+		close(jobs)
+		wg.Wait()
+	}()
+	probeWorker := func() {
+		defer wg.Done()
+		eval, releaseEval, evErr := acquireEvaluator(g, p, cfg)
+		if evErr != nil {
+			for j := range jobs {
+				verdicts <- verdict{seq: j.seq, err: evErr}
 			}
+			return
+		}
+		defer releaseEval()
+		if tel != nil {
+			// Pooled evaluators carry counters across borrowers; attribute
+			// only this worker's delta.
+			base := eval.Stats()
+			defer func() { tel.addEvalStats(eval.Stats().Sub(base)) }()
+		}
+		mc := &MapContext{Ctx: pctx, Graph: g, Platform: p, Eval: eval, scratch: newComboScratch(g.N(), cores)}
+		for j := range jobs {
+			v := verdict{seq: j.seq}
+			if v.err = eval.Bind(j.scaling); v.err == nil {
+				mc.Scaling = eval.Scaling()
+				mc.Seed = comboSeed(cfg.Seed, j.idx)
+				var t0 int64
+				if tel != nil {
+					t0 = tel.now()
+				}
+				var hit bool
+				_, v.feasible, hit, v.err = cfg.Probe.feasibleAtScaling(mc, j.idx, cfg)
+				if tel != nil {
+					tel.observeProbe(tel.now()-t0, hit)
+				}
+			}
+			verdicts <- v
 		}
 	}
-	return best, seeded, nil
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go probeWorker()
+	}
+
+	// The window holds the probes of sequence numbers [next, issued), at
+	// most `workers` of them, in a ring indexed by sequence number.
+	type slot struct {
+		nominal  float64
+		done     bool
+		feasible bool
+		err      error
+	}
+	window := make([]slot, workers)
+	next, issued := 0, 0
+	exhausted := false
+	for {
+		for !exhausted && issued < next+workers {
+			if err := ctx.Err(); err != nil {
+				return 0, false, err
+			}
+			combo, more := fr.Next()
+			if !more {
+				exhausted = true
+				break
+			}
+			if _, err := cursor.Advance(combo.Scaling); err != nil {
+				return 0, false, err
+			}
+			if cfg.DeadlineSec > 0 && cursor.TMLowerBound() > cfg.DeadlineSec*(1+1e-9) {
+				continue // provably infeasible; the stream will bound-prune it too
+			}
+			window[issued%workers] = slot{nominal: cursor.NominalPower()}
+			jobs <- rankedProbe{seq: issued, idx: combo.Index, scaling: combo.Scaling}
+			issued++
+		}
+		if next == issued {
+			return 0, false, nil // the space holds no probe-feasible combination
+		}
+		v := <-verdicts
+		s := &window[v.seq%workers]
+		s.done, s.feasible, s.err = true, v.feasible, v.err
+		for next < issued && window[next%workers].done {
+			s := window[next%workers]
+			if s.err != nil {
+				return 0, false, s.err
+			}
+			if s.feasible {
+				return s.nominal, true, nil
+			}
+			next++
+		}
+	}
 }
 
 // warmGhostFold validates Config.WarmFrontier and folds the surviving points
@@ -909,37 +908,12 @@ func exploreStream(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	fold := newScalarFold(prune)
 	fold.tel = cfg.Telemetry
 	if prune && cfg.Strategy.withDefault() == StrategyBranchAndBound {
-		if cfg.Probe == nil {
-			if cfg.Reuse != nil {
-				cfg.Probe = cfg.Reuse.Probe()
-			} else {
-				cfg.Probe = NewProbeCache()
-			}
+		nominal, seeded, err := seedRankedIncumbent(ctx, g, p, cfg)
+		if err != nil {
+			return nil, nil, 0, err
 		}
-		switch {
-		case cfg.Ranked:
-			nominal, seeded, err := seedRankedIncumbent(ctx, g, p, cfg)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			if seeded {
-				fold.seed(nominal)
-			}
-		case len(cfg.WarmHints) > 0:
-			// Warm-start: re-validate prior winners under this problem's
-			// constraints and seed the dominance threshold from the best
-			// survivor, so BnB prunes from the first combination. Every
-			// hint is probed through this run's own cache, so seeding is
-			// exactly as sound as the ranked pass — the Design is
-			// byte-identical to a cold run; only the Pruned/Skipped split
-			// of Progress may differ (as with Config.Ranked).
-			nominal, seeded, err := seedWarmIncumbent(ctx, g, p, cfg)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			if seeded {
-				fold.seed(nominal)
-			}
+		if seeded {
+			fold.seed(nominal)
 		}
 	}
 	perScaling, prunedCount, err = exploreCore(ctx, g, p, mapper, cfg, fold, coreOptions{

@@ -44,7 +44,8 @@ type Config struct {
 	// Seed drives the (deterministic) random neighborhood generation.
 	Seed int64
 	// Parallelism bounds the Explore worker pool: each worker maps one
-	// scaling combination at a time on its own reusable evaluator. 0
+	// scaling combination at a time on its own reusable evaluator, and
+	// branch-and-bound's ranked pass keeps as many probes in flight. 0
 	// selects GOMAXPROCS; 1 runs sequentially. Results are identical at
 	// any setting.
 	Parallelism int
@@ -64,19 +65,6 @@ type Config struct {
 	// SampleBudget bounds StrategySampled's portfolio size; 0 selects
 	// DefaultSampleBudget. Ignored by the other strategies.
 	SampleBudget int
-	// Ranked makes StrategyBranchAndBound seed its dominance incumbent
-	// before the deterministic stream starts: a sequential pass walks
-	// combinations in ascending nominal power (vscale.RankedFrontier),
-	// prunes bound-infeasible ones, and probes the rest until the first
-	// probe-feasible combination; its nominal power — the minimum of any
-	// probe-feasible combination — becomes the dominance threshold from
-	// position zero. The fold order stays the descending-lexicographic
-	// enumeration, so the chosen Design, perScaling and the Progress stream
-	// remain deterministic (and the Design byte-identical to
-	// StrategyExhaustive); only the Pruned/Skipped split can differ from an
-	// unseeded run. Requires StrategyBranchAndBound; ignored by the Pareto
-	// fold.
-	Ranked bool
 	// Objectives selects the objective components of the Pareto fold
 	// (ExploreParetoContext); 0 selects pareto.DefaultObjectives (power,
 	// makespan and Γ). Ignored by the scalar fold.
@@ -91,15 +79,6 @@ type Config struct {
 	// for the sharing contract. Results are byte-identical with or without
 	// it.
 	Reuse *Reuse
-	// WarmHints offers prior winners' combination indices as warm-start
-	// incumbent candidates to StrategyBranchAndBound's scalar fold. Each
-	// hint is re-validated by this run's own probe under this run's
-	// deadline before it may seed the dominance threshold, so stale or
-	// bogus hints cost a probe but never change the chosen Design — like
-	// Ranked, only the Pruned/Skipped split of Progress can differ from a
-	// cold run. Ignored when Ranked is set, under other strategies, and by
-	// the Pareto fold.
-	WarmHints []int
 	// WarmFrontier offers a prior fingerprint-matching Pareto run's
 	// frontier as warm-start dominance ghosts to ExploreParetoContext under
 	// StrategyBranchAndBound. Sound only when that run used identical
@@ -150,9 +129,6 @@ func (c Config) Validate() error {
 	}
 	if c.SampleBudget < 0 {
 		return fmt.Errorf("mapping: negative sample budget %d", c.SampleBudget)
-	}
-	if c.Ranked && c.Strategy.withDefault() != StrategyBranchAndBound {
-		return fmt.Errorf("mapping: Ranked incumbent seeding requires StrategyBranchAndBound, got %q", c.Strategy)
 	}
 	if c.Objectives != 0 {
 		if err := c.Objectives.Valid(); err != nil {

@@ -1,11 +1,17 @@
 package mapping
 
 import (
+	"context"
+	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 
 	"seadopt/internal/arch"
+	"seadopt/internal/metrics"
+	"seadopt/internal/sched"
 	"seadopt/internal/taskgraph"
+	"seadopt/internal/vscale"
 )
 
 // plat64 builds the flagship-shaped heterogeneous platform: 56 two-level
@@ -37,124 +43,213 @@ func graph64(t *testing.T) (*taskgraph.Graph, float64) {
 	return taskgraph.MustRandom(cfg, 11), taskgraph.RandomDeadline(40) / 5
 }
 
-// TestRankedMatchesExhaustive is the acceptance property of the ranked
-// incumbent-seeding pass: on the paper workloads, a §V random graph and the
-// 64-core heterogeneous platform, StrategyBranchAndBound with Ranked set
-// returns a byte-identical best Design to StrategyExhaustive (and hence to
-// unseeded branch-and-bound) at Parallelism 1, 4 and GOMAXPROCS — while
-// skipping at least as many combinations as it evaluates the moment the
-// space is prunable.
-func TestRankedMatchesExhaustive(t *testing.T) {
+// rankedWorkload is one seeded branch-and-bound test case.
+type rankedWorkload struct {
+	name     string
+	g        *taskgraph.Graph
+	p        *arch.Platform
+	deadline float64
+	iters    int
+	moves    int
+}
+
+// rankedWorkloads are the §V and 64-core workloads the ranked-pass tests
+// run on, plus MPEG-2 for the paper's own decoder. The ranked pass finds
+// its seed after 1, 20 and 568 probes on them.
+func rankedWorkloads(t *testing.T) []rankedWorkload {
+	t.Helper()
 	g64, dl64 := graph64(t)
-	workloads := []struct {
-		name     string
-		g        *taskgraph.Graph
-		p        *arch.Platform
-		deadline float64
-		iters    int
-		moves    int
-	}{
+	return []rankedWorkload{
 		{"mpeg2", taskgraph.MPEG2(), plat(4), taskgraph.MPEG2Deadline, taskgraph.MPEG2Frames, 150},
-		{"fig8", taskgraph.Fig8(), heteroPlat(t, 1, 1), taskgraph.Fig8Deadline, 1, 80},
-		{"random30", taskgraph.MustRandom(taskgraph.DefaultRandomConfig(30), 8), plat(3), taskgraph.RandomDeadline(30) * 0.2, 1, 150},
+		{"random40-16core", taskgraph.MustRandom(taskgraph.DefaultRandomConfig(40), 7), plat(16), taskgraph.RandomDeadline(40) * 0.5, 1, 150},
 		{"hetero64", g64, plat64(t), dl64, 1, 12},
 	}
-	parallelisms := []int{1, 4, runtime.GOMAXPROCS(0)}
-	for _, wl := range workloads {
-		base := cfg(wl.deadline, wl.iters)
-		base.SearchMoves = wl.moves
-		base.DiscardPerScaling = true
+}
 
-		exh := base
-		exh.Strategy = StrategyExhaustive
-		wantBest, _, err := Explore(wl.g, wl.p, SEAMapper(exh), exh)
-		if err != nil {
-			t.Fatalf("%s exhaustive: %v", wl.name, err)
+func (wl rankedWorkload) config() Config {
+	c := cfg(wl.deadline, wl.iters)
+	c.SearchMoves = wl.moves
+	c.DiscardPerScaling = true
+	c.Strategy = StrategyBranchAndBound
+	c.Probe = NewProbeCache()
+	return c
+}
+
+// cachedProbeVerdict reads combination scaling's probe verdict from c.Probe
+// and reports whether the verdict was already cached.
+func cachedProbeVerdict(t *testing.T, wl rankedWorkload, c Config, scaling []int) (feasible, cached bool) {
+	t.Helper()
+	space, err := vscale.PlatformSpace(wl.p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := space.Rank(scaling)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval, release, err := acquireEvaluator(wl.g, wl.p, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	if err := eval.Bind(scaling); err != nil {
+		t.Fatal(err)
+	}
+	mc := &MapContext{Ctx: context.Background(), Graph: wl.g, Platform: wl.p, Eval: eval,
+		Scaling: eval.Scaling(), Seed: comboSeed(c.Seed, idx)}
+	_, feasible, cached, err = c.Probe.feasibleAtScaling(mc, idx, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return feasible, cached
+}
+
+// TestRankedSeedMapsOnlyProbeFeasible: once the ranked pass has seeded the
+// incumbent, a probe-infeasible combination can never win, so
+// branch-and-bound runs the mapper only on probe-feasible combinations.
+func TestRankedSeedMapsOnlyProbeFeasible(t *testing.T) {
+	for _, wl := range rankedWorkloads(t) {
+		c := wl.config()
+		tel := NewTelemetry()
+		c.Telemetry = tel
+		var mu sync.Mutex
+		var mapped [][]int
+		inner := SEAMapper(c)
+		mapper := func(mc *MapContext) (sched.Mapping, *metrics.Evaluation, error) {
+			mu.Lock()
+			mapped = append(mapped, append([]int(nil), mc.Scaling...))
+			mu.Unlock()
+			return inner(mc)
 		}
-		want := designFingerprint(wantBest)
+		best, _, err := ExploreContext(context.Background(), wl.g, wl.p, mapper, c)
+		if err != nil {
+			t.Fatalf("%s: %v", wl.name, err)
+		}
+		if !best.Eval.MeetsDeadline {
+			t.Fatalf("%s: no feasible design; the workload must be seedable", wl.name)
+		}
+		st := tel.Stats()
+		seeded := false
+		for _, ev := range st.Events {
+			seeded = seeded || (ev.Kind == EventBound && ev.Index == -1)
+		}
+		if !seeded {
+			t.Fatalf("%s: the ranked pass published no seed", wl.name)
+		}
+		if len(mapped) == 0 || int64(len(mapped)) != st.Combos.MapperRuns {
+			t.Fatalf("%s: %d mapper calls, telemetry counts %d runs", wl.name, len(mapped), st.Combos.MapperRuns)
+		}
+		for _, sc := range mapped {
+			feasible, cached := cachedProbeVerdict(t, wl, c, sc)
+			if !cached || !feasible {
+				t.Errorf("%s: mapper ran on scaling %v (probed %v, probe-feasible %v)", wl.name, sc, cached, feasible)
+			}
+		}
+		t.Logf("%s: %d mapper runs, %d mapper runs spared, %d probed combinations",
+			wl.name, st.Combos.MapperRuns, st.Combos.MapperSpared, c.Probe.Len())
+	}
+}
 
-		for _, par := range parallelisms {
-			ranked := base
-			ranked.Strategy = StrategyBranchAndBound
-			ranked.Ranked = true
-			ranked.Parallelism = par
-			var evaluated, avoided int
-			ranked.Progress = func(pr Progress) {
-				if pr.Pruned || pr.Skipped {
-					avoided++
-				} else {
-					evaluated++
+// TestRankedSeedAtAnyParallelism: the ranked pass resolves its probes in
+// rank order, so the seed nominal and the chosen Design are identical at
+// any Parallelism, and the pass starts at most Parallelism-1 probes beyond
+// the seed combination — the probe cache ends up with at most that many
+// more entries than at Parallelism 1.
+func TestRankedSeedAtAnyParallelism(t *testing.T) {
+	for _, wl := range rankedWorkloads(t) {
+		if testing.Short() && wl.name == "hetero64" {
+			// Over a minute under the race detector; the plain test run and
+			// the branch-and-bound suite's hetero64 case still cover it.
+			continue
+		}
+		var wantSeed, wantDesign string
+		var wantProbes int
+		for _, par := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
+			c := wl.config()
+			c.Parallelism = par
+			tel := NewTelemetry()
+			c.Telemetry = tel
+			best, _, err := ExploreContext(context.Background(), wl.g, wl.p, SEAMapper(c), c)
+			if err != nil {
+				t.Fatalf("%s par=%d: %v", wl.name, par, err)
+			}
+			gotSeed := ""
+			for _, ev := range tel.Stats().Events {
+				if ev.Kind == EventBound && ev.Index == -1 {
+					gotSeed = fmt.Sprintf("%x", ev.NominalW)
 				}
 			}
-			gotBest, _, err := Explore(wl.g, wl.p, SEAMapper(ranked), ranked)
-			if err != nil {
-				t.Fatalf("%s ranked par=%d: %v", wl.name, par, err)
+			if gotSeed == "" {
+				t.Fatalf("%s par=%d: no seed; the workload must be seedable", wl.name, par)
 			}
-			if got := designFingerprint(gotBest); got != want {
-				t.Errorf("%s par=%d: designs diverged:\n  exhaustive: %s\n  ranked bnb: %s",
-					wl.name, par, want, got)
+			gotDesign, gotProbes := designFingerprint(best), c.Probe.Len()
+
+			if par == 1 {
+				wantSeed, wantDesign, wantProbes = gotSeed, gotDesign, gotProbes
+				t.Logf("%s: %d probed combinations", wl.name, wantProbes)
+				continue
 			}
-			if avoided == 0 {
-				t.Errorf("%s par=%d: ranked branch-and-bound avoided nothing (evaluated %d)",
-					wl.name, par, evaluated)
+			if gotSeed != wantSeed {
+				t.Errorf("%s par=%d: seed nominal %s, want %s", wl.name, par, gotSeed, wantSeed)
+			}
+			if gotDesign != wantDesign {
+				t.Errorf("%s par=%d: design diverged:\n  par=1: %s\n  got:   %s", wl.name, par, wantDesign, gotDesign)
+			}
+			if extra := gotProbes - wantProbes; extra < 0 || extra > par-1 {
+				t.Errorf("%s par=%d: %d probed combinations, %d at Parallelism 1", wl.name, par, gotProbes, wantProbes)
 			}
 		}
 	}
 }
 
-// TestRankedSkipsAtLeastAsMuch: seeding the incumbent from the ranked pass
-// can only lower the dominance threshold earlier, so the seeded run must
-// map no more combinations than the unseeded one.
-func TestRankedSkipsAtLeastAsMuch(t *testing.T) {
-	g, dl := graph64(t)
-	p := plat64(t)
-	base := cfg(dl, 1)
-	base.SearchMoves = 12
-	base.DiscardPerScaling = true
-	base.Strategy = StrategyBranchAndBound
+// TestRankedSeedResolvesInRankOrder: probes finish out of rank order when a
+// later combination's verdict is already cached, but the seed must still be
+// the first probe-feasible combination in rank order. Every combination
+// pricier than the seed is pre-probed, so at Parallelism 4 the window's
+// later feasible verdicts arrive while the seed's own 155-move climb runs.
+func TestRankedSeedResolvesInRankOrder(t *testing.T) {
+	g := taskgraph.MustRandom(taskgraph.DefaultRandomConfig(30), 2)
+	p := plat(6)
+	wl := rankedWorkload{"random30-6core", g, p, taskgraph.RandomDeadline(30) * 0.35, 1, 50}
 
-	count := func(ranked bool) (evaluated, avoided int) {
-		c := base
-		c.Ranked = ranked
-		c.Progress = func(pr Progress) {
-			if pr.Pruned || pr.Skipped {
-				avoided++
-			} else {
-				evaluated++
-			}
+	c := wl.config()
+	c.Parallelism = 1
+	want, ok, err := seedRankedIncumbent(context.Background(), g, p, c)
+	if err != nil || !ok {
+		t.Fatalf("sequential seed: ok %v, err %v", ok, err)
+	}
+
+	c = wl.config()
+	c.Parallelism = 4
+	space, err := vscale.PlatformSpace(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cursor := boundsFor(g, p, c).Cursor()
+	it := space.Iter()
+	pricier := 0
+	for {
+		scaling, _, more := it.Next()
+		if !more {
+			break
 		}
-		if _, _, err := Explore(g, p, SEAMapper(c), c); err != nil {
+		if _, err := cursor.Advance(scaling); err != nil {
 			t.Fatal(err)
 		}
-		return
-	}
-	plainEval, plainAvoid := count(false)
-	rankedEval, rankedAvoid := count(true)
-	t.Logf("unseeded: %d mapped / %d avoided; ranked: %d mapped / %d avoided",
-		plainEval, plainAvoid, rankedEval, rankedAvoid)
-	if rankedEval > plainEval {
-		t.Errorf("ranked seeding mapped %d combinations, unseeded only %d", rankedEval, plainEval)
-	}
-	if rankedEval+rankedAvoid != plainEval+plainAvoid {
-		t.Errorf("event counts diverged: ranked %d, unseeded %d",
-			rankedEval+rankedAvoid, plainEval+plainAvoid)
-	}
-}
-
-// TestRankedRequiresBranchAndBound: the option is a BnB refinement; other
-// strategies must reject it loudly rather than silently ignore it.
-func TestRankedRequiresBranchAndBound(t *testing.T) {
-	for _, s := range []Strategy{StrategyExhaustive, StrategySampled} {
-		c := cfg(1, 1)
-		c.Strategy = s
-		c.Ranked = true
-		if c.Validate() == nil {
-			t.Errorf("Ranked accepted with strategy %q", s)
+		if dominatedNominal(cursor.NominalPower(), want) {
+			if feasible, _ := cachedProbeVerdict(t, wl, c, scaling); feasible {
+				pricier++
+			}
 		}
 	}
-	ok := cfg(1, 1)
-	ok.Ranked = true // default strategy is branch-and-bound
-	if err := ok.Validate(); err != nil {
-		t.Errorf("Ranked rejected with the default strategy: %v", err)
+	if pricier == 0 {
+		t.Fatal("no pricier probe-feasible combination; the test cannot reorder verdicts")
+	}
+	got, ok, err := seedRankedIncumbent(context.Background(), g, p, c)
+	if err != nil || !ok {
+		t.Fatalf("parallel seed: ok %v, err %v", ok, err)
+	}
+	if got != want {
+		t.Fatalf("parallel seed nominal %v, want the rank-order seed %v (%d pricier feasible combinations pre-probed)", got, want, pricier)
 	}
 }

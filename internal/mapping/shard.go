@@ -81,7 +81,7 @@ func ShardRanges(total, n int) []ShardRange {
 // soundness argument is positional, independent of arrival order.
 type Fact struct {
 	// Pos is the global enumeration position the fact was derived at;
-	// -1 for the coordinator's ranked/warm incumbent seed.
+	// -1 for the coordinator's ranked-pass incumbent seed.
 	Pos int `json:"pos"`
 	// Pareto distinguishes frontier-admission facts from scalar
 	// dominance-threshold facts.
@@ -446,9 +446,10 @@ func (r *recordingFold) annotate(ev *Progress) { r.inner.annotate(ev) }
 // ExploreShard is the worker side of the distributed exploration: it runs
 // the ordinary streaming core over req.Range with the shard fold wrapper,
 // publishing bound tightenings to (and pruning against) board, and
-// returns the record stream for the coordinator's replay. Progress,
-// telemetry, warm hints and ranked seeding are coordinator concerns and
-// are forced off here.
+// returns the record stream for the coordinator's replay. Progress and
+// telemetry are coordinator concerns and are forced off here; the ranked
+// pass runs only on the coordinator, whose seed reaches the shard as a
+// Pos -1 fact.
 func ExploreShard(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	mapper MapperFunc, cfg Config, req ShardRequest, board *FactBoard) (*ShardResult, error) {
 	cfg = cfg.withDefaults()
@@ -458,8 +459,6 @@ func ExploreShard(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	cfg.Progress = nil
 	cfg.Telemetry = nil
 	cfg.DiscardPerScaling = true
-	cfg.Ranked = false
-	cfg.WarmHints = nil
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -873,22 +872,13 @@ func exploreShardedStream(ctx context.Context, g *taskgraph.Graph, p *arch.Platf
 	fold := newScalarFold(prune)
 	board := NewFactBoard()
 	if prune && cfg.Strategy.withDefault() == StrategyBranchAndBound {
-		seedFn := (func(context.Context, *taskgraph.Graph, *arch.Platform, Config) (float64, bool, error))(nil)
-		switch {
-		case cfg.Ranked:
-			seedFn = seedRankedIncumbent
-		case len(cfg.WarmHints) > 0:
-			seedFn = seedWarmIncumbent
+		nominal, seeded, err := seedRankedIncumbent(ctx, g, p, cfg)
+		if err != nil {
+			return nil, nil, 0, err
 		}
-		if seedFn != nil {
-			nominal, seeded, err := seedFn(ctx, g, p, cfg)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			if seeded {
-				fold.seed(nominal)
-				board.Publish(Fact{Pos: -1, Nominal: nominal})
-			}
+		if seeded {
+			fold.seed(nominal)
+			board.Publish(Fact{Pos: -1, Nominal: nominal})
 		}
 	}
 	total := ranges[len(ranges)-1].Hi
@@ -990,7 +980,6 @@ func ExploreShardedPareto(ctx context.Context, g *taskgraph.Graph, p *arch.Platf
 		silent := cfg
 		silent.Progress = nil
 		silent.DiscardPerScaling = true
-		silent.Ranked = false
 		best, _, _, err := exploreShardedStream(ctx, g, p, mapper, silent, ranges, resolved, false)
 		if err != nil {
 			return nil, err

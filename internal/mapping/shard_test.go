@@ -165,7 +165,7 @@ func assertStringsEqual(t *testing.T, label string, want, got []string) {
 
 // TestShardedStrategiesAndSeeding covers the remaining coordinator paths:
 // the exhaustive strategy (no pruning anywhere) and the ranked-seeded
-// branch-and-bound (the seed travels to shards as a Pos -1 fact).
+// branch-and-bound default (the seed travels to shards as a Pos -1 fact).
 func TestShardedStrategiesAndSeeding(t *testing.T) {
 	g := taskgraph.MPEG2()
 	p := plat(4)
@@ -174,7 +174,7 @@ func TestShardedStrategiesAndSeeding(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"exhaustive", func(c *Config) { c.Strategy = StrategyExhaustive }},
-		{"ranked", func(c *Config) { c.Ranked = true }},
+		{"ranked", func(c *Config) { c.Strategy = StrategyBranchAndBound }},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			base := cfg(taskgraph.MPEG2Deadline, taskgraph.MPEG2Frames)

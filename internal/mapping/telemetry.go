@@ -80,7 +80,8 @@ type WorkerStats struct {
 type PhaseStats struct {
 	// BoundsNanos is the admissible-bound precompute (metrics.NewBounds).
 	BoundsNanos int64 `json:"bounds_ns"`
-	// RankedSeedNanos is the Config.Ranked ascending-nominal incumbent pass.
+	// RankedSeedNanos is branch-and-bound's ranked pass: the
+	// ascending-nominal probe walk that seeds the incumbent.
 	RankedSeedNanos int64 `json:"ranked_seed_ns"`
 	// EnumerationNanos is the dispatcher's walk of the combination source:
 	// cursor advances, bound pruning and dispatch-skip tests.

@@ -118,10 +118,11 @@ type Config struct {
 	// heterogeneous) by default. Nil selects 4 ARM7 cores × Table I.
 	// Submissions that do name a platform are unaffected.
 	DefaultPlatform *arch.Platform
-	// DisableWarmStart turns off cross-job result seeding: submissions no
-	// longer inherit incumbent hints or frontier ghosts from
-	// fingerprint-matching prior results, and sweep jobs run every point
-	// cold. Warm starts never change result bytes — only the
+	// DisableWarmStart turns off cross-job frontier seeding: Pareto
+	// submissions no longer inherit frontier ghosts from
+	// fingerprint-matching prior results, and sweep jobs run every Pareto
+	// point cold. (Scalar jobs are seeded by the engine's own ranked pass
+	// either way.) Warm starts never change result bytes — only the
 	// pruned/skipped split of the progress stream — so this exists for
 	// byte-exact progress reproduction and A/B measurement, not
 	// correctness. The verdict-preserving probe/bounds/evaluator reuse
@@ -431,7 +432,7 @@ type Server struct {
 	paretoJobs   atomic.Int64 // pareto-mode engine executions
 	frontierSize atomic.Int64 // frontier size of the latest finished pareto job
 	sweepPoints  atomic.Int64 // sweep points evaluated by batch jobs
-	warmStarts   atomic.Int64 // engine executions seeded from a prior result
+	warmStarts   atomic.Int64 // Pareto executions seeded from a prior frontier
 	shardedExecs atomic.Int64 // engine executions fanned out over shards
 	shardsServed atomic.Int64 // shard requests this server executed for peers
 
@@ -528,7 +529,8 @@ func (s *Server) recover(recs []storeRecord) {
 				jr.canceled = rec
 			}
 		case "hint":
-			s.warm.RecordHint(rec.Key, rec.Rank)
+			// Scalar warm-start hints, journaled by older daemons; the
+			// ranked pass made them redundant, so they are skipped.
 		case "frontier":
 			s.warm.RecordFrontier(rec.Key, fromStorePoints(rec.Points))
 		}
@@ -936,10 +938,11 @@ func (s *Server) worker() {
 			}
 		}
 		wait := started.Sub(f.enqueued).Seconds()
+		attached := len(f.jobs) // Submit appends to f.jobs under s.mu
 		s.mu.Unlock()
 		s.queueWaitHist.Observe(wait)
 		s.cfg.Logger.Info("flight started",
-			"key", f.key, "jobs", len(f.jobs), "queue_wait_sec", wait)
+			"key", f.key, "jobs", attached, "queue_wait_sec", wait)
 		s.run(f)
 	}
 }
@@ -1087,23 +1090,22 @@ func (s *Server) execute(f *flight) (result []byte, summary string, stats *seado
 		stats = nil
 		opts.Stats = nil
 	}
-	// Warm-start from a fingerprint-matching prior result whose deadline or
-	// objectives differed. Seeds are re-validated against this run's
-	// constraints by the engine, so the result bytes are identical to a
-	// cold run — only pruning gets ahead of itself.
-	bnb := strategy == seadopt.StrategyBranchAndBound
-	warmable := !s.cfg.DisableWarmStart && o.Baseline == ""
-	var fp string
-	if warmable {
-		v, ferr := f.problem.Fingerprint()
-		if ferr != nil {
-			warmable = false
-		}
-		fp = v
-	}
 	s.engineExecs.Add(1)
 	if mode == ingest.ModePareto {
-		if warmable && bnb {
+		// Warm-start from a fingerprint-matching prior frontier at the same
+		// deadline whose objectives differed. The ghosts are re-validated
+		// against this run's constraints by the engine, so the result bytes
+		// are identical to a cold run — only pruning gets ahead of itself.
+		// Scalar jobs need no such seed: the engine's ranked pass finds the
+		// incumbent's nominal power on its own.
+		warmable := !s.cfg.DisableWarmStart && o.Baseline == ""
+		var fp string
+		if warmable {
+			v, ferr := f.problem.Fingerprint()
+			warmable = ferr == nil
+			fp = v
+		}
+		if warmable && strategy == seadopt.StrategyBranchAndBound {
 			if ghosts := s.warm.Frontier(warmParetoKey(fp, o)); len(ghosts) > 0 {
 				opts.WarmFrontier = ghosts
 				s.warmStarts.Add(1)
@@ -1129,12 +1131,6 @@ func (s *Server) execute(f *flight) (result []byte, summary string, stats *seado
 	var d *seadopt.Design
 	switch o.Baseline {
 	case "":
-		if warmable && bnb {
-			if hints := s.warm.Hints(warmScalarKey(fp, o)); len(hints) > 0 {
-				opts.WarmHints = hints
-				s.warmStarts.Add(1)
-			}
-		}
 		if runners != nil {
 			d, err = sys.OptimizeShardedContext(f.ctx, opts, runners)
 		} else {
@@ -1151,11 +1147,6 @@ func (s *Server) execute(f *flight) (result []byte, summary string, stats *seado
 	}
 	if err != nil {
 		return nil, "", nil, err
-	}
-	if warmable && (o.DeadlineSec <= 0 || d.Eval.MeetsDeadline) {
-		if rank, rerr := sys.ScalingRank(d.Scaling); rerr == nil {
-			s.recordHint(warmScalarKey(fp, o), rank)
-		}
 	}
 	result, err = json.Marshal(d)
 	if err != nil {
@@ -1196,17 +1187,6 @@ func (s *Server) mirrorProgress(f *flight, point int, prunedSoFar *int, p seadop
 		ev.BestGamma = p.Best.Eval.Gamma
 	}
 	f.append(ev)
-}
-
-// recordHint records a scalar warm-start winner and journals it, so the
-// warm registry survives a restart.
-func (s *Server) recordHint(key string, rank int) {
-	s.warm.RecordHint(key, rank)
-	if s.store != nil {
-		if err := s.store.Append(storeRecord{Kind: "hint", Key: key, Rank: rank}); err != nil {
-			s.cfg.Logger.Warn("store append failed", "kind", "hint", "error", err.Error())
-		}
-	}
 }
 
 // recordFrontier records a Pareto warm-start frontier and journals it.

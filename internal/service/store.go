@@ -41,8 +41,10 @@ type storeWarmPoint struct {
 //	job      ID, Key, Priority, Problem (canonical encoding), At
 //	result   ID, Key, State (done/failed/canceled), Result, Summary, Total, Error, At
 //	cancel   ID, At
-//	hint     Key (warm registry key), Rank
 //	frontier Key (warm registry key), Points
+//
+// Journals written by older daemons may also hold "hint" records (scalar
+// warm-start hints: Key, "rank"); recovery skips them.
 type storeRecord struct {
 	Kind     string           `json:"kind"`
 	ID       string           `json:"id,omitempty"`
@@ -56,7 +58,6 @@ type storeRecord struct {
 	Summary  string           `json:"summary,omitempty"`
 	Total    int              `json:"total,omitempty"`
 	Error    string           `json:"error,omitempty"`
-	Rank     int              `json:"rank,omitempty"`
 	Points   []storeWarmPoint `json:"points,omitempty"`
 }
 

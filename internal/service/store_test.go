@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -30,8 +32,8 @@ func newStoreServer(t *testing.T, dir string, cfg Config) *Server {
 // TestStoreRecoversFinishedJobs: a daemon restarted against the same store
 // directory still knows every finished job — same ID, same state, same
 // result bytes — serves identical resubmissions from the recovered cache
-// without re-running the engine, and continues the job ID sequence instead
-// of reissuing recovered IDs.
+// without re-running the engine, continues the job ID sequence instead of
+// reissuing recovered IDs, and keeps its Pareto warm-start seeds.
 func TestStoreRecoversFinishedJobs(t *testing.T) {
 	dir := t.TempDir()
 
@@ -41,6 +43,11 @@ func TestStoreRecoversFinishedJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	final := waitState(t, s1, st.ID, StateDone)
+	pst, err := s1.Submit(paretoProblem(t, 2010), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s1, pst.ID, StateDone)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	if err := s1.Close(ctx); err != nil {
@@ -81,14 +88,92 @@ func TestStoreRecoversFinishedJobs(t *testing.T) {
 		t.Fatalf("recovered server ran the engine %d times for known results", execs)
 	}
 
-	// The scalar warm-start hint journaled by the first run survives too.
-	p := mpeg2Problem(t, 2010)
+	// The Pareto frontier seed journaled by the first run survives too.
+	if !hasFrontierSeed(t, s2, paretoProblem(t, 2010)) {
+		t.Fatal("Pareto frontier seed did not survive the restart")
+	}
+}
+
+// hasFrontierSeed reports whether s's warm registry holds a frontier seed
+// for p's workload and deadline.
+func hasFrontierSeed(t *testing.T, s *Server, p *ingest.Problem) bool {
+	t.Helper()
 	fp, err := p.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hints := s2.warm.Hints(warmScalarKey(fp, p.Options)); len(hints) == 0 {
-		t.Fatal("warm-start hints did not survive the restart")
+	return len(s.warm.Frontier(warmParetoKey(fp, p.Options))) > 0
+}
+
+// TestStoreRecoversJournalWithHintRecords: journals written by older
+// daemons interleave scalar warm-start "hint" records with the job, result
+// and frontier records. Recovery must skip the hints and still restore
+// every finished job's bytes and every Pareto frontier seed.
+func TestStoreRecoversJournalWithHintRecords(t *testing.T) {
+	dir := t.TempDir()
+	s1 := newStoreServer(t, dir, Config{Workers: 1})
+	var want []JobStatus
+	for _, p := range []*ingest.Problem{mpeg2Problem(t, 2010), paretoProblem(t, 2010)} {
+		st, err := s1.Submit(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, waitState(t, s1, st.ID, StateDone))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := s1.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewrite the journal as an older daemon would have left it: a hint
+	// record before, between and after the others.
+	path := filepath.Join(dir, storeJournalName)
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(bytes.TrimSuffix(old, []byte("\n")), []byte("\n"))
+	kinds := map[string]bool{}
+	var journal []byte
+	for i, line := range lines {
+		var rec storeRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("journal line %d: %v", i, err)
+		}
+		kinds[rec.Kind] = true
+		journal = fmt.Appendf(journal, `{"kind":"hint","key":"fp-sha256:old|2010|%d|0|0|scalar","rank":%d}`+"\n", i, i+3)
+		journal = append(journal, bytes.TrimSuffix(line, []byte("\n"))...)
+		journal = append(journal, '\n')
+	}
+	journal = append(journal, `{"kind":"hint","key":"fp-sha256:old|scalar","rank":1}`+"\n"...)
+	for _, k := range []string{"job", "result", "frontier"} {
+		if !kinds[k] {
+			t.Fatalf("journal holds no %q record to interleave with", k)
+		}
+	}
+	if err := os.WriteFile(path, journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newStoreServer(t, dir, Config{Workers: 1})
+	for _, w := range want {
+		got, err := s2.Job(w.ID)
+		if err != nil {
+			t.Fatalf("recovery lost job %s: %v", w.ID, err)
+		}
+		if got.State != StateDone || !bytes.Equal(got.Result, w.Result) {
+			t.Fatalf("recovered job %s: state %s, bytes equal %v", w.ID, got.State, bytes.Equal(got.Result, w.Result))
+		}
+	}
+	if !hasFrontierSeed(t, s2, paretoProblem(t, 2010)) {
+		t.Fatal("Pareto frontier seed lost in a journal with hint records")
+	}
+	if n := s2.warm.ll.Len(); n != 1 {
+		t.Fatalf("warm registry holds %d entries after recovery, want only the frontier seed", n)
+	}
+	if execs := s2.Metrics().EngineExecutions; execs != 0 {
+		t.Fatalf("recovery re-ran the engine %d times for finished jobs", execs)
 	}
 }
 

@@ -105,11 +105,11 @@ func (s *Server) executeSweep(f *flight) (result []byte, summary string, stats *
 			return nil, "", nil, err
 		}
 		s.sweepPoints.Add(int64(len(res)))
-		// Register every point's winner in the cross-job warm registry under
-		// this platform's own fingerprint, so a later single-point submission
-		// of the same workload — on the primary or any sweep platform —
-		// warm-starts from the sweep's results exactly as it would from a
-		// prior single-point job.
+		// Register every Pareto point's frontier in the cross-job warm
+		// registry under this platform's own fingerprint, so a later
+		// single-point Pareto submission of the same workload and deadline —
+		// on the primary or any sweep platform — warm-starts from the sweep's
+		// results exactly as it would from a prior single-point job.
 		if !s.cfg.DisableWarmStart && o.Baseline == "" {
 			pp := *f.problem
 			pp.Platform = plat
@@ -120,10 +120,6 @@ func (s *Server) executeSweep(f *flight) (result []byte, summary string, stats *
 						po.DeadlineSec = r.Spec.DeadlineSec
 						s.recordFrontier(warmParetoKey(fp, po),
 							frontierWarmPoints(sys, r.Spec.DeadlineSec, r.Frontier))
-					} else if r.Spec.DeadlineSec <= 0 || r.Design.Eval.MeetsDeadline {
-						if rank, rerr := sys.ScalingRank(r.Design.Scaling); rerr == nil {
-							s.recordHint(warmScalarKey(fp, o), rank)
-						}
 					}
 				}
 			}

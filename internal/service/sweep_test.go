@@ -208,21 +208,21 @@ func TestSweepHTTPEndToEnd(t *testing.T) {
 	}
 }
 
-// TestWarmStartAcrossJobs submits two jobs that differ only in deadline:
-// the second must be seeded from the first (WarmStarts metric) while
-// serving exactly the bytes a warm-start-disabled server computes cold.
+// TestWarmStartAcrossJobs submits two Pareto jobs that differ only in their
+// objective set: the second must be seeded from the first's frontier
+// (WarmStarts metric) while serving exactly the bytes a
+// warm-start-disabled server computes cold.
 func TestWarmStartAcrossJobs(t *testing.T) {
 	run := func(cfg Config) (first, second []byte, m Metrics) {
 		s := newTestServer(t, cfg)
-		a := mpeg2Problem(t, 2010)
-		st, err := s.Submit(a, 0)
+		st, err := s.Submit(paretoProblem(t, 2010), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		first = waitState(t, s, st.ID, StateDone).Result
 
-		b := mpeg2Problem(t, 2010)
-		b.Options.DeadlineSec = taskgraph.MPEG2Deadline * 1.25
+		b := paretoProblem(t, 2010)
+		b.Options.Objectives = "power,gamma"
 		st, err = s.Submit(b, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -244,20 +244,24 @@ func TestWarmStartAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestWarmStartFromSweep: a mode=sweep job's winners land in the cross-job
-// warm registry, so a later single-point submission of the same workload
-// warm-starts from the sweep — serving exactly the bytes a
-// warm-start-disabled server computes cold.
+// TestWarmStartFromSweep: a Pareto mode=sweep job's frontiers land in the
+// cross-job warm registry, so a later single-point Pareto submission of the
+// same workload and deadline warm-starts from the sweep — serving exactly
+// the bytes a warm-start-disabled server computes cold.
 func TestWarmStartFromSweep(t *testing.T) {
 	d := taskgraph.MPEG2Deadline
 	run := func(cfg Config) ([]byte, Metrics) {
 		s := newTestServer(t, cfg)
-		st, err := s.Submit(sweepProblem(t, []float64{d * 1.2, d}), 0)
+		sw := sweepProblem(t, []float64{d * 1.2, d})
+		sw.Options.SweepPointMode = "pareto"
+		st, err := s.Submit(sw, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		waitState(t, s, st.ID, StateDone)
-		st, err = s.Submit(mpeg2Problem(t, 2010), 0)
+		p := paretoProblem(t, 2010)
+		p.Options.Objectives = "power,gamma"
+		st, err = s.Submit(p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

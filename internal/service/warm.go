@@ -19,13 +19,16 @@ import (
 //     seed and stream-iteration count, whatever their deadline, SER or
 //     strategy. Sharing it never changes any result byte.
 //
-//   - warmRegistry remembers finished results by problem Fingerprint so a
-//     later submission over the same workload — with a different deadline
-//     or objective set — starts its branch-and-bound from a near-optimal
-//     incumbent (scalar WarmHints) or a pre-seeded dominance frontier
-//     (Pareto WarmFrontier). Hints are re-validated by the receiving run's
-//     own probe, so the final Design/frontier is byte-identical to a cold
-//     run; only the pruned/skipped split of the progress stream may differ.
+//   - warmRegistry remembers finished Pareto frontiers by problem
+//     Fingerprint and deadline so a later Pareto submission over the same
+//     workload and deadline — with a different objective set — starts its
+//     branch-and-bound from a pre-seeded dominance frontier (WarmFrontier).
+//     The ghosts are re-validated against the receiving run's deadline, so
+//     the final frontier is byte-identical to a cold run; only the
+//     pruned/skipped split of the progress stream may differ. Scalar jobs
+//     need no registry: every branch-and-bound run seeds its incumbent from
+//     the engine's ranked pass. The WarmStarts counter
+//     (seadoptd_warm_starts_total) counts these Pareto warm starts only.
 //
 // Both are small LRUs: a long-running daemon's memory stays bounded and an
 // evicted bundle simply costs the next matching job a cold start.
@@ -34,8 +37,7 @@ import (
 // options that shape realized design points for a fixed workload. Two
 // problems with equal Fingerprint and equal warmSig realize identical
 // (mapping, evaluation) pairs for every scaling combination they both
-// visit, which is exactly the soundness contract of WarmHints and
-// WarmFrontier.
+// visit, which is exactly the soundness contract of WarmFrontier.
 func warmSig(o ingest.Options) string {
 	iters := o.StreamIterations
 	if iters < 1 {
@@ -52,13 +54,6 @@ func warmSig(o ingest.Options) string {
 	return sb.String()
 }
 
-// warmScalarKey addresses the scalar hint list of a workload: winners from
-// any deadline are useful hints for any other, so the deadline is NOT part
-// of the key.
-func warmScalarKey(fingerprint string, o ingest.Options) string {
-	return fingerprint + "|" + warmSig(o) + "|scalar"
-}
-
 // warmParetoKey addresses a workload's frontier at one deadline: frontier
 // ghosts are sound only against runs whose mapper inputs differ at most in
 // the objective selection, so the deadline IS part of the key.
@@ -67,13 +62,8 @@ func warmParetoKey(fingerprint string, o ingest.Options) string {
 		strconv.FormatFloat(o.DeadlineSec, 'g', -1, 64)
 }
 
-// maxWarmHints caps the scalar hint list per workload; hints beyond the
-// few most recent winners rarely tighten the incumbent further.
-const maxWarmHints = 8
-
 type warmEntry struct {
 	key    string
-	hints  []int
 	points []seadopt.WarmPoint
 }
 
@@ -107,33 +97,6 @@ func (r *warmRegistry) touch(key string, create bool) *warmEntry {
 		delete(r.m, oldest.Value.(*warmEntry).key)
 	}
 	return e
-}
-
-// Hints returns a copy of the recorded scalar winner ranks for key.
-func (r *warmRegistry) Hints(key string) []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := r.touch(key, false)
-	if e == nil || len(e.hints) == 0 {
-		return nil
-	}
-	return append([]int(nil), e.hints...)
-}
-
-// RecordHint prepends a scalar winner rank to key's hint list (deduplicated,
-// capped at maxWarmHints).
-func (r *warmRegistry) RecordHint(key string, rank int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := r.touch(key, true)
-	hints := make([]int, 0, len(e.hints)+1)
-	hints = append(hints, rank)
-	for _, h := range e.hints {
-		if h != rank && len(hints) < maxWarmHints {
-			hints = append(hints, h)
-		}
-	}
-	e.hints = hints
 }
 
 // Frontier returns a copy of the recorded frontier seed points for key.

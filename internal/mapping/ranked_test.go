@@ -43,6 +43,65 @@ func graph64(t *testing.T) (*taskgraph.Graph, float64) {
 	return taskgraph.MustRandom(cfg, 11), taskgraph.RandomDeadline(40) / 5
 }
 
+// TestRankedMatchesExhaustive is the acceptance property of the ranked
+// incumbent-seeding pass that every branch-and-bound run starts with: on a
+// mixed Fig. 8 platform and the 64-core heterogeneous platform, where the
+// pass probes 568 combinations before its seed and so exercises its
+// parallel window at scale, the seeded StrategyBranchAndBound publishes a
+// seed and returns a byte-identical best Design to StrategyExhaustive at
+// Parallelism 1, 4 and GOMAXPROCS, while avoiding part of the space.
+func TestRankedMatchesExhaustive(t *testing.T) {
+	g64, dl64 := graph64(t)
+	workloads := []rankedWorkload{
+		{"fig8-mixed3", taskgraph.Fig8(), heteroPlat(t, 1, 1), taskgraph.Fig8Deadline, 1, 80},
+		{"hetero64", g64, plat64(t), dl64, 1, 12},
+	}
+	parallelisms := []int{1, 4, runtime.GOMAXPROCS(0)}
+	for _, wl := range workloads {
+		exh := wl.config()
+		exh.Strategy = StrategyExhaustive
+		wantBest, _, err := Explore(wl.g, wl.p, SEAMapper(exh), exh)
+		if err != nil {
+			t.Fatalf("%s exhaustive: %v", wl.name, err)
+		}
+		want := designFingerprint(wantBest)
+
+		for _, par := range parallelisms {
+			ranked := wl.config()
+			ranked.Parallelism = par
+			tel := NewTelemetry()
+			ranked.Telemetry = tel
+			var evaluated, avoided int
+			ranked.Progress = func(pr Progress) {
+				if pr.Pruned || pr.Skipped {
+					avoided++
+				} else {
+					evaluated++
+				}
+			}
+			gotBest, _, err := Explore(wl.g, wl.p, SEAMapper(ranked), ranked)
+			if err != nil {
+				t.Fatalf("%s ranked par=%d: %v", wl.name, par, err)
+			}
+			seeded := false
+			for _, ev := range tel.Stats().Events {
+				seeded = seeded || (ev.Kind == EventBound && ev.Index == -1)
+			}
+			if !seeded {
+				t.Errorf("%s par=%d: the ranked pass published no seed", wl.name, par)
+			}
+			if got := designFingerprint(gotBest); got != want {
+				t.Errorf("%s par=%d: designs diverged:\n  exhaustive: %s\n  ranked bnb: %s",
+					wl.name, par, want, got)
+			}
+			if avoided == 0 {
+				t.Errorf("%s par=%d: ranked branch-and-bound avoided nothing (evaluated %d)",
+					wl.name, par, evaluated)
+			}
+		}
+	}
+}
+
 // rankedWorkload is one seeded branch-and-bound test case.
 type rankedWorkload struct {
 	name     string
@@ -159,7 +218,7 @@ func TestRankedSeedAtAnyParallelism(t *testing.T) {
 	for _, wl := range rankedWorkloads(t) {
 		if testing.Short() && wl.name == "hetero64" {
 			// Over a minute under the race detector; the plain test run and
-			// the branch-and-bound suite's hetero64 case still cover it.
+			// TestRankedMatchesExhaustive's hetero64 case still cover it.
 			continue
 		}
 		var wantSeed, wantDesign string

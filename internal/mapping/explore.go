@@ -705,7 +705,11 @@ func newComboSource(p *arch.Platform, cfg Config, strategy Strategy) (*comboSour
 // Probe verdicts land in cfg.Probe (keyed by the stable combination index;
 // callers set it), so the main stream reuses every probe this pass ran. ok
 // is false when nothing probe-feasible exists; the stream then runs
-// unseeded and the usual degenerate fallback applies.
+// unseeded and the usual degenerate fallback applies. ok is also false,
+// with nothing probed, on a platform whose f·V² column rises at some
+// slower level (a table arch accepts: it orders only frequency): the
+// ranked walk needs every column non-increasing in s, and the unseeded
+// stream is exact without it.
 func seedRankedIncumbent(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, cfg Config) (nominal float64, ok bool, err error) {
 	tel := cfg.Telemetry
 	if tel != nil {
@@ -728,6 +732,11 @@ func seedRankedIncumbent(ctx context.Context, g *taskgraph.Graph, p *arch.Platfo
 			for s := 1; s <= levels; s++ {
 				l := p.MustCoreLevel(c, s)
 				col[s-1] = l.FreqHz() * l.Vdd * l.Vdd
+			}
+			for s := 1; s < levels; s++ {
+				if col[s-1] < col[s] {
+					return 0, false, nil
+				}
 			}
 			cols[class[c]] = col
 		}

@@ -312,3 +312,64 @@ func TestRankedSeedResolvesInRankOrder(t *testing.T) {
 		t.Fatalf("parallel seed nominal %v, want the rank-order seed %v (%d pricier feasible combinations pre-probed)", got, want, pricier)
 	}
 }
+
+// TestBranchAndBoundNonMonotoneLevelPower: arch accepts any level table
+// whose frequency falls strictly, so a slower level may draw more f·V²
+// than a faster one. The ranked walk cannot order such a space; the pass
+// must then step aside rather than fail, and the unseeded stream must
+// still return exhaustive's byte-identical Design, single-node and
+// sharded.
+func TestBranchAndBoundNonMonotoneLevelPower(t *testing.T) {
+	levels := []arch.Level{
+		{S: 1, FreqMHz: 200, Vdd: 1.00}, // f·V² = 200
+		{S: 2, FreqMHz: 150, Vdd: 1.30}, // f·V² = 253.5: a slower level, heavier
+		{S: 3, FreqMHz: 100, Vdd: 0.58},
+	}
+	p, err := arch.NewPlatform(4, levels)
+	if err != nil {
+		t.Fatalf("platform: %v", err)
+	}
+	g := taskgraph.MPEG2()
+	base := cfg(taskgraph.MPEG2Deadline, taskgraph.MPEG2Frames)
+	base.SearchMoves = 150
+
+	exh := base
+	exh.Strategy = StrategyExhaustive
+	wantBest, _, err := Explore(g, p, SEAMapper(exh), exh)
+	if err != nil {
+		t.Fatalf("exhaustive: %v", err)
+	}
+	want := designFingerprint(wantBest)
+
+	for _, par := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+		bnb := base
+		bnb.Strategy = StrategyBranchAndBound
+		bnb.Parallelism = par
+		tel := NewTelemetry()
+		bnb.Telemetry = tel
+		gotBest, _, err := Explore(g, p, SEAMapper(bnb), bnb)
+		if err != nil {
+			t.Fatalf("bnb par=%d: %v", par, err)
+		}
+		if got := designFingerprint(gotBest); got != want {
+			t.Errorf("bnb par=%d: designs diverged:\n  exhaustive: %s\n  bnb:        %s", par, want, got)
+		}
+		for _, ev := range tel.Stats().Events {
+			if ev.Kind == EventBound && ev.Index == -1 {
+				t.Errorf("bnb par=%d: the ranked pass published a seed on an unorderable space", par)
+			}
+		}
+
+		sharded := base
+		sharded.Strategy = StrategyBranchAndBound
+		sharded.Parallelism = par
+		shBest, _, err := ExploreSharded(context.Background(), g, p, SEAMapper(sharded), sharded,
+			make([]ShardRunner, 2))
+		if err != nil {
+			t.Fatalf("sharded bnb par=%d: %v", par, err)
+		}
+		if got := designFingerprint(shBest); got != want {
+			t.Errorf("sharded bnb par=%d: designs diverged:\n  exhaustive: %s\n  sharded:    %s", par, want, got)
+		}
+	}
+}
